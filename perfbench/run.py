@@ -33,6 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
 SETUP_CALLS = 7  # fresh-interpreter set-up calls per run; the median is reported
 CHILD_TIMEOUT_S = 120
+# CPU time of spawn.py's probe chunk on a fast, unloaded core of the machine
+# the benchmark was written on (2-vCPU KVM guest on a Xeon, Python 3.11).
+# Times are reported at that speed: wall x REF_PROBE_S / the probe's cost
+# on the child's CPU during the call (see spawn.py and README.md).
+REF_PROBE_S = 0.00062
 
 END_TO_END = {
     "throughput_per_s": "1/s",
@@ -78,9 +83,15 @@ PER_LAYER = {
 @dataclass
 class Invocation:
     wall_s: float
+    probe_s: float
     rss_mib: float
     code: int
     out: Path
+
+    @property
+    def scaled_s(self) -> float:
+        """Wall time at the reference CPU speed (see spawn.py)."""
+        return self.wall_s * REF_PROBE_S / self.probe_s
 
 
 def child_env() -> dict:
@@ -107,7 +118,8 @@ class Launcher:
         self._proc.stdin.write(json.dumps(request) + "\n")
         self._proc.stdin.flush()
         reply = json.loads(self._proc.stdout.readline())
-        return Invocation(reply["wall_s"], reply["maxrss_kb"] / 1024.0, reply["code"], out)
+        return Invocation(reply["wall_s"], reply["probe_s"], reply["maxrss_kb"] / 1024.0,
+                          reply["code"], out)
 
     def close(self) -> None:
         self._proc.stdin.close()
@@ -233,8 +245,8 @@ def _measure(launcher, spec, seed, seconds, trace, paths, workdir) -> dict:
     failed += sum(checker.failed_items(inv.code, inv.out) for inv in runs)
 
     walls = [inv.wall_s for inv in runs]
-    throughput = [spec.items / w for w in walls]
-    setup_s = statistics.median(inv.wall_s for inv in setups)
+    throughput = [spec.items / inv.scaled_s for inv in runs]
+    setup_s = statistics.median(inv.scaled_s for inv in setups)
     result = {
         "workload": spec.name,
         "seed": seed,
@@ -247,10 +259,11 @@ def _measure(launcher, spec, seed, seconds, trace, paths, workdir) -> dict:
         },
         "detail": {
             "throughput_per_s": tail_percentile(throughput),
-            "setup_s": tail_percentile([inv.wall_s for inv in setups]),
+            "setup_s": tail_percentile([inv.scaled_s for inv in setups]),
             "peak_rss_mb": f"max {max(inv.rss_mib for inv in runs):.1f}",
             "wall_s": f"median {statistics.median(walls):.4f}; {tail_percentile(walls)}; "
                       + " ".join(f"{w:.3f}" for w in walls),
+            "speed": "probe/ref " + " ".join(f"{inv.probe_s / REF_PROBE_S:.2f}" for inv in runs),
         },
     }
     if trace:
@@ -261,7 +274,8 @@ def _measure(launcher, spec, seed, seconds, trace, paths, workdir) -> dict:
             values["cli.eval_invariant_failure_rows"] = (checker.invariant_rows, "own")
         else:
             values["cli.eval_invariant_failure_rows"] = (traced["census_invariant_rows"], "census")
-        untraced_in_process = statistics.median(walls) - setup_s
+        untraced_in_process = statistics.median(walls) - statistics.median(
+            inv.wall_s for inv in setups)
         values["trace.overhead_s"] = (values["trace.total_s"][0] - untraced_in_process, "own")
         attempted += spec.items
         failed += checker.failed_items(traced["exit_code"], traced["out_path"])
@@ -280,6 +294,7 @@ def print_report(result: dict, trace: bool) -> None:
     print(f"{w}  {'failed_frac':<36} {frac:>14.6g} {'fraction':<12} "
           f"failed={result['failed']} attempted={result['attempted']}")
     print(f"{w}  {'invocation wall':<36} {result['detail']['wall_s']}")
+    print(f"{w}  {'CPU speed factor':<36} {result['detail']['speed']}")
     if trace:
         for name, unit in PER_LAYER.items():
             value, source = result["layers"][name]
