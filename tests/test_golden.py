@@ -1,0 +1,41 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+The files under ``tests/golden/`` were written by the CLI itself; these tests
+pin its eval CSV, ``estimate --verify`` JSON and ``gen`` stream so that a
+refactor which changes any byte of them fails here, not only when two runs of
+the same code are compared with each other.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from wmstream.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GRID_GEN_ARGS = ["gen", "--family", "grid", "--rows", "4", "--cols", "4",
+                 "--weights", "uniform-int", "--wmax", "64", "--order", "shuffled",
+                 "--seed", "7"]
+
+
+def test_golden_eval_csv(tmp_path):
+    out = tmp_path / "suite.csv"
+    assert main(["eval", "--suite", str(GOLDEN / "suite.txt"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "suite.csv").read_bytes()
+
+
+def test_golden_gen_stream(tmp_path):
+    out = tmp_path / "grid.stream"
+    assert main(GRID_GEN_ARGS + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "grid4x4.stream").read_bytes()
+
+
+@pytest.mark.parametrize("estimator", ["greedy", "exact"])
+def test_golden_estimate_verify_json(tmp_path, estimator):
+    out = tmp_path / "report.json"
+    code = main(["estimate", "--stream", str(GOLDEN / "grid4x4.stream"),
+                 "--epsilon", "0.1", "--estimator", estimator, "--verify",
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"estimate_{estimator}.json").read_bytes()
