@@ -16,7 +16,7 @@ from .errors import (
     WeightRangeError,
     WmStreamError,
 )
-from .estimators import EstimatorSpec, McmEstimate, lambda_for, make_estimator
+from .estimators import ESTIMATORS, EstimatorSpec, McmEstimate, make_estimator
 from .generators import GenConfig, dynamify, generate
 from .oracle import OracleResult, arboricity, exact_mcm, exact_mwm
 from .reduction import (
@@ -25,6 +25,7 @@ from .reduction import (
     check_lemma1,
     check_lemma2,
     check_observations,
+    check_sandwich,
     combine,
     report_to_dict,
     report_to_json,

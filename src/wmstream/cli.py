@@ -9,7 +9,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from . import generators, oracle, reduction, stream_io
 from .errors import (
@@ -19,9 +19,7 @@ from .errors import (
     WmStreamError,
     exit_code_for,
 )
-from .estimators import EXACT_OFFLINE, GREEDY, KINDS, lambda_for
-
-REL_SLACK = 1e-9
+from .estimators import ESTIMATORS, EXACT_OFFLINE, KINDS
 
 CSV_COLUMNS = [
     "config",
@@ -51,17 +49,9 @@ def cmd_estimate(args) -> int:
     payload = reduction.report_to_dict(report)
 
     if args.verify:
-        snapshot = stream_io.replay(header, updates)
-        result = oracle.exact_mwm(snapshot)
-        lam = lambda_for(args.estimator)
-        bound = 2.0 * lam * (1.0 + args.epsilon)
-        ok = (
-            report.estimate <= result.value * (1.0 + REL_SLACK)
-            and result.value <= bound * report.estimate * (1.0 + REL_SLACK)
-        ) or (report.estimate == 0.0 and result.value == 0.0)
-        payload["oracle_mwm"] = result.value
-        payload["bound"] = bound
-        payload["sandwich_ok"] = ok
+        result = oracle.exact_mwm(stream_io.replay(header, updates))
+        _, bound, ok = reduction.check_sandwich(report, result.value)
+        payload.update(oracle_mwm=result.value, bound=bound, sandwich_ok=ok)
 
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -77,32 +67,31 @@ def cmd_estimate(args) -> int:
 def cmd_oracle(args) -> int:
     header, updates = _read_stream(args.stream)
     snapshot = stream_io.replay(header, updates)
-    if args.mode == "mwm":
-        result = oracle.exact_mwm(snapshot)
-        payload = {"mode": "mwm", "value": result.value, "witness": list(result.witness)}
-    elif args.mode == "mcm":
-        result = oracle.exact_mcm(snapshot)
-        payload = {"mode": "mcm", "value": result.value, "witness": list(result.witness)}
-    else:
+    if args.mode == "arboricity":
         payload = {"mode": "arboricity", "value": oracle.arboricity(snapshot)}
+    else:
+        result = (oracle.exact_mwm if args.mode == "mwm" else oracle.exact_mcm)(snapshot)
+        payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
+# Each `gen` flag and suite key -> the GenConfig field it sets, in field order.
+_GEN_FIELDS = {
+    {"weight_dist": "weights", "dynamic_churn": "churn"}.get(f.name, f.name): f
+    for f in fields(generators.GenConfig)
+}
+_GEN_CHOICES = {
+    "family": generators.FAMILIES,
+    "weights": generators.WEIGHT_DISTS,
+    "order": generators.ORDERS,
+}
+_TYPES = {"int": int, "float": float, "str": str}  # GenConfig's annotations are strings
+
+
 def cmd_gen(args) -> int:
     config = generators.GenConfig(
-        family=args.family,
-        n=args.n,
-        rows=args.rows,
-        cols=args.cols,
-        nu=args.nu,
-        p=args.p,
-        weight_dist=args.weights,
-        wmax=args.wmax,
-        alpha=args.alpha,
-        order=args.order,
-        dynamic_churn=args.churn,
-        seed=args.seed,
+        **{f.name: getattr(args, key) for key, f in _GEN_FIELDS.items()}
     )
     header, updates = generators.generate(config)
     text = stream_io.serialize(header, updates)
@@ -116,10 +105,7 @@ def cmd_gen(args) -> int:
 
 # --- eval suite -----------------------------------------------------------
 
-_SUITE_KEYS = {
-    "family", "n", "rows", "cols", "nu", "p", "weights", "wmax", "alpha",
-    "order", "churn", "epsilon", "delta", "estimator", "seed", "reps",
-}
+_SUITE_KEYS = set(_GEN_FIELDS) | {"epsilon", "delta", "estimator", "reps"}
 
 
 @dataclass(frozen=True)
@@ -147,31 +133,18 @@ def parse_suite(text: str) -> list[SuiteRow]:
         estimator = block["estimator"]
         if estimator not in KINDS:
             raise ParseError(f"unknown estimator {estimator!r}")
-        base_seed = int(block.get("seed", "0"))
+        values = {
+            f.name: _TYPES[f.type](block[key])
+            for key, f in _GEN_FIELDS.items()
+            if key in block
+        }
+        base_seed = values.pop("seed", 0)
         reps = int(block.get("reps", "1"))
+        epsilon = float(block.get("epsilon", "0.5"))
+        delta = float(block.get("delta", "0.1"))
         for rep in range(reps):
-            config = generators.GenConfig(
-                family=block["family"],
-                n=int(block.get("n", "0")),
-                rows=int(block.get("rows", "0")),
-                cols=int(block.get("cols", "0")),
-                nu=int(block.get("nu", "1")),
-                p=float(block.get("p", "0")),
-                weight_dist=block.get("weights", "uniform-int"),
-                wmax=float(block.get("wmax", "8")),
-                alpha=float(block.get("alpha", "2.0")),
-                order=block.get("order", "as-generated"),
-                dynamic_churn=float(block.get("churn", "0")),
-                seed=base_seed + rep,
-            )
-            rows.append(
-                SuiteRow(
-                    config,
-                    float(block.get("epsilon", "0.5")),
-                    float(block.get("delta", "0.1")),
-                    estimator,
-                )
-            )
+            config = generators.GenConfig(**values, seed=base_seed + rep)
+            rows.append(SuiteRow(config, epsilon, delta, estimator))
         block.clear()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,40 +165,27 @@ def parse_suite(text: str) -> list[SuiteRow]:
 def run_suite_row(row: SuiteRow) -> dict:
     """Execute one eval row; pure function of the row, safe to parallelize."""
     started = time.perf_counter()
-    out = {
+    lam = ESTIMATORS[row.estimator].LAM
+    out = dict.fromkeys(CSV_COLUMNS, "")
+    out.update({
         "config": row.config.summary(),
         "epsilon": row.epsilon,
         "estimator": row.estimator,
-        "lambda": lambda_for(row.estimator),
-        "estimate": "",
-        "oracle_mwm": "",
-        "ratio": "",
-        "bound": "",
-        "lemma1_ok": "",
-        "obs_ok": "",
-        "lemma2_ok": "",
-        "total_words": "",
+        "lambda": lam,
         "status": "ok",
         "elapsed": 0.0,
         "exit_code": 0,
-    }
+    })
     try:
         header, updates = generators.generate(row.config)
         report = reduction.run(header, updates, row.epsilon, row.delta, row.estimator)
-        snapshot = stream_io.replay(header, updates)
-        result = oracle.exact_mwm(snapshot)
-        lam = lambda_for(row.estimator)
-        bound = 2.0 * lam * (1.0 + row.epsilon)
-        if report.estimate == 0.0:
-            ratio = 1.0 if result.value == 0.0 else float("inf")
-        else:
-            ratio = result.value / report.estimate
+        result = oracle.exact_mwm(stream_io.replay(header, updates))
+        ratio, bound, sandwich_ok = reduction.check_sandwich(report, result.value)
         lemma1_ok = reduction.check_lemma1(report)
         obs_ok = reduction.check_observations(report)
         lemma2_ok = reduction.check_lemma2(
             report, [w for _, _, w in result.witness], lam
         )
-        sandwich_ok = 1.0 - REL_SLACK <= ratio <= bound * (1.0 + REL_SLACK)
         out.update(
             estimate=report.estimate,
             oracle_mwm=result.value,
@@ -314,19 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible stream")
-    p_gen.add_argument("--family", choices=generators.FAMILIES, required=True)
-    p_gen.add_argument("--n", type=int, default=0)
-    p_gen.add_argument("--rows", type=int, default=0)
-    p_gen.add_argument("--cols", type=int, default=0)
-    p_gen.add_argument("--nu", type=int, default=1)
-    p_gen.add_argument("--p", type=float, default=0.0)
-    p_gen.add_argument("--weights", choices=generators.WEIGHT_DISTS,
-                       default="uniform-int")
-    p_gen.add_argument("--wmax", type=float, default=8.0)
-    p_gen.add_argument("--alpha", type=float, default=2.0)
-    p_gen.add_argument("--order", choices=generators.ORDERS, default="as-generated")
-    p_gen.add_argument("--churn", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    for key, f in _GEN_FIELDS.items():
+        kw = {"required": True} if f.default is MISSING else {"default": f.default}
+        p_gen.add_argument(f"--{key}", type=_TYPES[f.type],
+                           choices=_GEN_CHOICES.get(key), **kw)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 

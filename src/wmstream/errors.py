@@ -28,7 +28,7 @@ class ParseError(WmStreamError):
 
 
 class StreamError(WmStreamError):
-    """A strict-mode multiset violation: duplicate insert, delete of an
+    """A multiset violation: duplicate insert, delete of an
     absent edge, or delete whose weight differs from the insert."""
 
 
@@ -47,7 +47,6 @@ class InvariantError(WmStreamError):
 EXIT_CODES = {
     ParseError: 2,
     ParameterError: 2,
-    WeightRangeError: 2,
     StreamError: 2,
     CapabilityError: 3,
     CapacityError: 4,

@@ -1,10 +1,12 @@
 """Per-substream cardinality estimators.
 
 The contract: an estimator consumes an unweighted edge stream and returns
-an estimate ``value`` with ``value <= MCM <= lambda * value``. Two
+an estimate ``value`` with ``value <= MCM <= LAM * value``. Each estimator
+class declares its factor ``LAM`` and whether it accepts deletes
+(``SUPPORTS_DELETES``), and is registered by name in ``ESTIMATORS``. Two
 deterministic references ship here: a streaming greedy maximal matching
-(lambda = 2, insert-only) and an exact-offline estimator (lambda = 1,
-handles deletes by retaining the surviving edge set and asking the oracle).
+(insert-only) and an exact-offline estimator (handles deletes by retaining
+the surviving edge set and asking the oracle).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot
 
 EXACT_OFFLINE = "exact"
 GREEDY = "greedy"
-
-KINDS = (EXACT_OFFLINE, GREEDY)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class EstimatorSpec:
 class McmEstimate:
     value: float
     words_stored: int
-    spec: EstimatorSpec
 
 
 class GreedyEstimator:
@@ -48,13 +47,14 @@ class GreedyEstimator:
     iff both endpoints are currently unmatched. 2-approximation to MCM.
     Cannot un-match, so deletes are refused."""
 
+    LAM = 2.0
+    SUPPORTS_DELETES = False
+
     def __init__(self, n: int, delta_prime: float):
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
         self.n = n
-        self.spec = EstimatorSpec(2.0, delta_prime, supports_deletes=False)
+        self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
         self._matched: set[int] = set()
-        self._matching: list[tuple[int, int]] = []
+        self._size = 0
 
     def update(self, op: str, u: int, v: int) -> None:
         if op == DELETE:
@@ -62,27 +62,28 @@ class GreedyEstimator:
         if u not in self._matched and v not in self._matched:
             self._matched.add(u)
             self._matched.add(v)
-            self._matching.append((u, v))
+            self._size += 1
 
     @property
     def words_stored(self) -> int:
         # the matching only grows, so current size is the peak
-        return len(self._matching)
+        return self._size
 
     def finalize(self) -> McmEstimate:
-        return McmEstimate(float(len(self._matching)), self.words_stored, self.spec)
+        return McmEstimate(float(self._size), self._size)
 
 
 class ExactOfflineEstimator:
     """Retains the surviving edge multiset and computes the exact MCM at
-    finalize via the oracle. lambda = 1 but deliberately not sublinear in
+    finalize via the oracle. Exact, but deliberately not sublinear in
     space; the words counter makes that visible."""
 
+    LAM = 1.0
+    SUPPORTS_DELETES = True
+
     def __init__(self, n: int, delta_prime: float):
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
         self.n = n
-        self.spec = EstimatorSpec(1.0, delta_prime, supports_deletes=True)
+        self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
         self._mult: dict[tuple[int, int], int] = {}
         self._peak = 0
 
@@ -107,23 +108,21 @@ class ExactOfflineEstimator:
     def finalize(self) -> McmEstimate:
         edges = tuple(sorted((u, v, 1.0) for (u, v) in self._mult))
         result = exact_mcm(GraphSnapshot(self.n, edges))
-        return McmEstimate(float(result.value), self._peak, self.spec)
+        return McmEstimate(float(result.value), self._peak)
+
+
+# Estimator name -> class; adding an estimator means adding one entry here.
+ESTIMATORS = {EXACT_OFFLINE: ExactOfflineEstimator, GREEDY: GreedyEstimator}
+KINDS = tuple(ESTIMATORS)
 
 
 def make_estimator(kind: str, n: int, delta_prime: float, model: str):
     """Instantiate a fresh estimator, refusing capability mismatches."""
-    if kind == GREEDY:
-        if model == DYNAMIC:
-            raise CapabilityError("greedy estimator does not support dynamic streams")
-        return GreedyEstimator(n, delta_prime)
-    if kind == EXACT_OFFLINE:
-        return ExactOfflineEstimator(n, delta_prime)
-    raise ParameterError(f"unknown estimator kind {kind!r}")
-
-
-def lambda_for(kind: str) -> float:
-    if kind == GREEDY:
-        return 2.0
-    if kind == EXACT_OFFLINE:
-        return 1.0
-    raise ParameterError(f"unknown estimator kind {kind!r}")
+    cls = ESTIMATORS.get(kind)
+    if cls is None:
+        raise ParameterError(f"unknown estimator kind {kind!r}")
+    if model == DYNAMIC and not cls.SUPPORTS_DELETES:
+        raise CapabilityError(f"{kind} estimator does not support dynamic streams")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    return cls(n, delta_prime)

@@ -29,25 +29,24 @@ def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
     list (include-if-endpoints-free / exclude), pruning with the remaining
     weight sum. Ties broken toward the lexicographically smallest witness.
     """
-    if len(snapshot.edges) > MAX_ORACLE_EDGES:
-        raise CapacityError(
-            f"{len(snapshot.edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}"
-        )
-    value, witness = _mwm_search(tuple(sorted(snapshot.edges)))
+    value, witness = _capped_search(tuple(sorted(snapshot.edges)))
     return OracleResult(value, witness)
 
 
 def exact_mcm(snapshot: GraphSnapshot) -> OracleResult:
     """Maximum cardinality matching: exact_mwm on the unit-weighted graph."""
-    if len(snapshot.edges) > MAX_ORACLE_EDGES:
-        raise CapacityError(
-            f"{len(snapshot.edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}"
-        )
     unit = tuple(sorted((u, v, 1.0) for u, v, _ in snapshot.edges))
-    value, witness = _mwm_search(unit)
+    value, witness = _capped_search(unit)
     return OracleResult(int(value), witness)
 
 
+def _capped_search(edges):
+    if len(edges) > MAX_ORACLE_EDGES:
+        raise CapacityError(f"{len(edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}")
+    return _mwm_search(edges)
+
+
+# nested levels ask for the same edge sets again and again, so results are cached
 @lru_cache(maxsize=65536)
 def _mwm_search(edges):
     if not edges:

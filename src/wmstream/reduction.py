@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ParameterError
-from .estimators import make_estimator
+from .estimators import ESTIMATORS, make_estimator
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import StreamHeader, StreamUpdate
 
@@ -135,6 +135,19 @@ def check_observations(report: RunReport, rel_tol: float = 1e-9) -> bool:
         if abs(st.a - a_sum) > rel_tol * max(1.0, abs(a_sum)):
             return False
     return True
+
+
+def check_sandwich(report: RunReport, mwm: float) -> tuple[float, float, bool]:
+    """End-to-end guarantee estimate <= mwm <= 2*lambda*(1+eps)*estimate for
+    a report from ``run``, as (ratio, bound, ok) with ratio = mwm/estimate.
+    Both zero counts as ratio 1; a zero estimate of a positive MWM as inf.
+    The ratio is checked within a relative slack of 1e-9."""
+    bound = 2.0 * ESTIMATORS[report.estimator].LAM * (1.0 + report.schedule.epsilon)
+    if report.estimate == 0.0:
+        ratio = 1.0 if mwm == 0.0 else float("inf")
+    else:
+        ratio = mwm / report.estimate
+    return ratio, bound, 1.0 - 1e-9 <= ratio <= bound * (1.0 + 1e-9)
 
 
 def check_lemma2(

@@ -54,13 +54,12 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def parse_stream(text: str | bytes, strict: bool = True):
+def parse_stream(text: str | bytes):
     """Parse a stream file into (header, updates).
 
-    Validates every line against the header. With ``strict`` (the default)
-    the stream is additionally replayed to reject duplicate inserts,
-    deletes of absent edges, and deletes whose weight differs from the
-    matching insert.
+    Validates every line against the header, then replays the stream to
+    reject duplicate inserts, deletes of absent edges, and deletes whose
+    weight differs from the matching insert.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -78,8 +77,7 @@ def parse_stream(text: str | bytes, strict: bool = True):
 
     if header is None:
         raise ParseError("missing header line")
-    if strict:
-        replay(header, updates)
+    replay(header, updates)
     return header, updates
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wmstream import GenConfig, generate, serialize
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -143,6 +144,25 @@ def test_parse_suite_expands_reps():
     assert len(rows) == 5
     assert [r.config.seed for r in rows[:3]] == [3, 4, 5]
     assert rows[3].estimator == "greedy"
+
+
+def test_gen_flags_and_suite_keys_build_the_same_config(tmp_path):
+    values = {"family": "erdos-renyi", "n": "9", "rows": "2", "cols": "3",
+              "nu": "3", "p": "0.45", "weights": "powerlaw", "wmax": "50",
+              "alpha": "1.5", "order": "light-first", "churn": "0.25",
+              "seed": "17"}
+    out = tmp_path / "gen.stream"
+    argv = ["gen"] + [x for k, v in values.items() for x in (f"--{k}", v)]
+    assert main(argv + ["--out", str(out)]) == 0
+    block = "".join(f"{k}={v}\n" for k, v in values.items()) + "estimator=exact\n"
+    (row,) = parse_suite(block)
+    assert out.read_bytes() == serialize(*generate(row.config)).encode()
+
+
+def test_parse_suite_minimal_block_uses_genconfig_defaults():
+    (row,) = parse_suite("family=grid\nestimator=greedy\n")
+    assert row.config == GenConfig(family="grid")
+    assert (row.epsilon, row.delta) == (0.5, 0.1)
 
 
 def test_parse_suite_rejects_unknown_key():

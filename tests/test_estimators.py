@@ -5,6 +5,7 @@ import pytest
 from wmstream import (
     CapabilityError,
     GraphSnapshot,
+    ParameterError,
     StreamError,
     exact_mcm,
     make_estimator,
@@ -28,6 +29,17 @@ def test_exact_reports_lambda_1():
 def test_greedy_refuses_dynamic_stream():
     with pytest.raises(CapabilityError):
         make_estimator(GREEDY, 10, 0.05, DYNAMIC)
+
+
+def test_make_estimator_rejects_unknown_kind():
+    with pytest.raises(ParameterError):
+        make_estimator("bogus", 10, 0.05, INSERT_ONLY)
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+def test_make_estimator_rejects_empty_vertex_set(kind):
+    with pytest.raises(ParameterError):
+        make_estimator(kind, 0, 0.05, INSERT_ONLY)
 
 
 def test_greedy_refuses_delete_update():

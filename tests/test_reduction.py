@@ -9,6 +9,7 @@ from wmstream import (
     check_lemma1,
     check_lemma2,
     check_observations,
+    check_sandwich,
     combine,
     exact_mwm,
     make_estimator,
@@ -242,3 +243,32 @@ def test_greedy_estimator_tracks_space_per_level():
     assert len(report.level_words) == report.schedule.levels + 1
     assert report.total_words == sum(report.level_words)
     assert all(w <= header.n // 2 for w in report.level_words)
+
+
+def _sandwich(estimate, mwm, kind=EXACT_OFFLINE, epsilon=0.5):
+    schedule = build_schedule(epsilon, 4.0)
+    report = combine(schedule, [0.0] * (schedule.levels + 1))
+    return check_sandwich(replace(report, estimate=estimate, estimator=kind), mwm)
+
+
+def test_check_sandwich_both_zero_is_ok():
+    assert _sandwich(0.0, 0.0) == (1.0, 3.0, True)
+
+
+def test_check_sandwich_zero_estimate_of_positive_mwm_fails():
+    ratio, _, ok = _sandwich(0.0, 5.0)
+    assert ratio == float("inf")
+    assert not ok
+
+
+def test_check_sandwich_ratio_at_bound_is_ok():
+    # bound = 2 * lambda * (1 + eps): 3 for exact, 6 for greedy at eps = 0.5
+    assert _sandwich(2.0, 6.0) == (3.0, 3.0, True)
+    assert _sandwich(1.0, 6.0, kind=GREEDY) == (6.0, 6.0, True)
+    assert not _sandwich(1.0, 6.1, kind=GREEDY)[2]
+
+
+def test_check_sandwich_estimate_above_mwm_fails():
+    ratio, _, ok = _sandwich(5.0, 4.0)
+    assert ratio == 0.8
+    assert not ok

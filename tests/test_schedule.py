@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmstream import ParameterError, WeightRangeError, build_schedule, top_level
+from wmstream.errors import exit_code_for
 
 
 def test_power_of_two_levels():
@@ -51,8 +52,9 @@ def test_top_level_rejects_out_of_range():
     s = build_schedule(1.0, 4.0)
     with pytest.raises(WeightRangeError):
         top_level(s, 0.5)
-    with pytest.raises(WeightRangeError):
+    with pytest.raises(WeightRangeError) as excinfo:
         top_level(s, 4.001)
+    assert exit_code_for(excinfo.value) == 2  # through its base, ParameterError
 
 
 @given(
