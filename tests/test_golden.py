@@ -39,3 +39,21 @@ def test_golden_estimate_verify_json(tmp_path, estimator):
                  "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"estimate_{estimator}.json").read_bytes()
+
+
+# Streams that fill many levels: a 1999-edge Erdos-Renyi graph with Pareto
+# float weights (greedy, eps 0.1: 73 of 74 levels non-empty) and a churned
+# 4x4 grid at the 24-edge oracle cap (exact, eps 0.5, with --verify).
+LARGE_ESTIMATES = [
+    ("er200_powerlaw.stream", "greedy", "0.1", [], "estimate_greedy_er200.json"),
+    ("grid4x4_churn.stream", "exact", "0.5", ["--verify"], "estimate_exact_churn.json"),
+]
+
+
+@pytest.mark.parametrize("stream,estimator,epsilon,extra,golden", LARGE_ESTIMATES)
+def test_golden_estimate_json_on_many_levels(tmp_path, stream, estimator, epsilon, extra, golden):
+    out = tmp_path / "report.json"
+    code = main(["estimate", "--stream", str(GOLDEN / stream), "--epsilon", epsilon,
+                 "--estimator", estimator, *extra, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
