@@ -1,9 +1,9 @@
 """Streaming weighted-matching estimation toolkit.
 
 Reduces weighted matching estimation to per-weight-class cardinality
-estimation: updates fan out to nested substreams by weight threshold, and
-a descending greedy combine turns the per-level cardinality estimates into
-a weight estimate with a 2*lambda*(1+epsilon) guarantee.
+estimation: one estimator counts each update on the nested weight levels it
+reaches, and a descending greedy combine turns the per-level cardinality
+estimates into a weight estimate with a 2*lambda*(1+epsilon) guarantee.
 """
 
 from .errors import (
@@ -29,7 +29,6 @@ from .reduction import (
     combine,
     report_to_dict,
     report_to_json,
-    route_update,
     run,
 )
 from .schedule import LevelSchedule, build_schedule, top_level

@@ -1,8 +1,10 @@
-"""Per-substream cardinality estimators.
+"""Nested-level cardinality estimators.
 
-The contract: an estimator consumes an unweighted edge stream and returns
-an estimate ``value`` with ``value <= MCM <= LAM * value``. Each estimator
-class declares its factor ``LAM`` and whether it accepts deletes
+The contract: one estimator serves every level of a run. ``update(op, u, v,
+top)`` counts the unweighted edge on levels 0..top, and ``finalize()``
+returns one ``McmEstimate`` per level, indexed by level, whose ``value``
+satisfies ``value <= MCM <= LAM * value`` for that level's substream. Each
+estimator class declares its factor ``LAM`` and whether it accepts deletes
 (``SUPPORTS_DELETES``), and is registered by name in ``ESTIMATORS``. Two
 deterministic references ship here: a streaming greedy maximal matching
 (insert-only) and an exact-offline estimator (handles deletes by retaining
@@ -43,72 +45,107 @@ class McmEstimate:
 
 
 class GreedyEstimator:
-    """Maximal matching built greedily in stream order: an edge is taken
-    iff both endpoints are currently unmatched. 2-approximation to MCM.
+    """Maximal matching built greedily in stream order on every level: an
+    edge is taken at a level iff both endpoints are unmatched there.
+    2-approximation to each level's MCM. Bit i of a vertex's mask says the
+    vertex is matched at level i, so one update serves levels 0..top.
     Cannot un-match, so deletes are refused."""
 
     LAM = 2.0
     SUPPORTS_DELETES = False
 
-    def __init__(self, n: int, delta_prime: float):
+    def __init__(self, n: int, delta_prime: float, levels: int = 0):
         self.n = n
         self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
-        self._matched: set[int] = set()
-        self._size = 0
+        self._mask = [0] * (n + 1)
+        self._full = [(2 << t) - 1 for t in range(levels + 1)]
 
-    def update(self, op: str, u: int, v: int) -> None:
+    def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if op == DELETE:
             raise CapabilityError("greedy estimator cannot process deletes")
-        if u not in self._matched and v not in self._matched:
-            self._matched.add(u)
-            self._matched.add(v)
-            self._size += 1
+        mask = self._mask
+        new = self._full[top] & ~(mask[u] | mask[v])
+        if new:
+            mask[u] |= new
+            mask[v] |= new
 
-    @property
-    def words_stored(self) -> int:
-        # the matching only grows, so current size is the peak
-        return self._size
+    def finalize(self) -> list[McmEstimate]:
+        # each level's matching only grows, so its final size is its peak
+        return [
+            McmEstimate(float(c // 2), c // 2)
+            for c in _bit_counts(self._mask, len(self._full))
+        ]
 
-    def finalize(self) -> McmEstimate:
-        return McmEstimate(float(self._size), self._size)
+
+def _bit_counts(masks, width: int) -> list[int]:
+    """For each bit position below ``width``, how many masks have it set.
+    The counts are kept bit-sliced, ``planes[j]`` holding bit j of every
+    position's count, so adding a mask is a ripple carry of a few big-int
+    operations instead of one step per position."""
+    planes: list[int] = []
+    for carry in masks:
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(0)
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    return [
+        sum(((plane >> i) & 1) << j for j, plane in enumerate(planes))
+        for i in range(width)
+    ]
 
 
 class ExactOfflineEstimator:
-    """Retains the surviving edge multiset and computes the exact MCM at
-    finalize via the oracle. Exact, but deliberately not sublinear in
-    space; the words counter makes that visible."""
+    """Retains the surviving edge multiset, each pair with the top level it
+    reaches, and computes each level's exact MCM at finalize via the oracle.
+    Exact, but deliberately not sublinear in space; the words counter (per
+    level, the peak number of distinct live pairs) makes that visible. All
+    copies of a live pair must carry the same top level."""
 
     LAM = 1.0
     SUPPORTS_DELETES = True
 
-    def __init__(self, n: int, delta_prime: float):
+    def __init__(self, n: int, delta_prime: float, levels: int = 0):
         self.n = n
         self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
-        self._mult: dict[tuple[int, int], int] = {}
-        self._peak = 0
+        self._edges: dict[tuple[int, int], list[int]] = {}  # pair -> [multiplicity, top]
+        self._live = [0] * (levels + 1)
+        self._peak = [0] * (levels + 1)
 
-    def update(self, op: str, u: int, v: int) -> None:
+    def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         key = (u, v) if u < v else (v, u)
+        entry = self._edges.get(key)
+        if entry is not None and entry[1] != top:
+            raise StreamError(f"edge {key} at top level {top}, live at {entry[1]}")
+        live = self._live
         if op == INSERT:
-            self._mult[key] = self._mult.get(key, 0) + 1
-            self._peak = max(self._peak, len(self._mult))
+            if entry is not None:
+                entry[0] += 1
+                return
+            self._edges[key] = [1, top]
+            peak = self._peak
+            for i in range(top + 1):
+                live[i] += 1
+                if live[i] > peak[i]:
+                    peak[i] = live[i]
+        elif entry is None:
+            raise StreamError(f"delete of absent edge {key}")
+        elif entry[0] > 1:
+            entry[0] -= 1
         else:
-            count = self._mult.get(key, 0)
-            if count <= 0:
-                raise StreamError(f"delete of absent edge {key}")
-            if count == 1:
-                del self._mult[key]
-            else:
-                self._mult[key] = count - 1
+            del self._edges[key]
+            for i in range(top + 1):
+                live[i] -= 1
 
-    @property
-    def words_stored(self) -> int:
-        return self._peak
-
-    def finalize(self) -> McmEstimate:
-        edges = tuple(sorted((u, v, 1.0) for (u, v) in self._mult))
-        result = exact_mcm(GraphSnapshot(self.n, edges))
-        return McmEstimate(float(result.value), self._peak)
+    def finalize(self) -> list[McmEstimate]:
+        pairs = sorted((pair, top) for pair, (_, top) in self._edges.items())
+        out = []
+        for i, peak in enumerate(self._peak):
+            level = tuple((u, v, 1.0) for (u, v), top in pairs if top >= i)
+            result = exact_mcm(GraphSnapshot(self.n, level))
+            out.append(McmEstimate(float(result.value), peak))
+        return out
 
 
 # Estimator name -> class; adding an estimator means adding one entry here.
@@ -116,8 +153,9 @@ ESTIMATORS = {EXACT_OFFLINE: ExactOfflineEstimator, GREEDY: GreedyEstimator}
 KINDS = tuple(ESTIMATORS)
 
 
-def make_estimator(kind: str, n: int, delta_prime: float, model: str):
-    """Instantiate a fresh estimator, refusing capability mismatches."""
+def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: int = 0):
+    """Instantiate a fresh estimator for levels 0..levels, refusing
+    capability mismatches."""
     cls = ESTIMATORS.get(kind)
     if cls is None:
         raise ParameterError(f"unknown estimator kind {kind!r}")
@@ -125,4 +163,4 @@ def make_estimator(kind: str, n: int, delta_prime: float, model: str):
         raise CapabilityError(f"{kind} estimator does not support dynamic streams")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return cls(n, delta_prime)
+    return cls(n, delta_prime, levels)

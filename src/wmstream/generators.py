@@ -171,24 +171,62 @@ def dynamify(
 ) -> tuple[StreamHeader, list[StreamUpdate]]:
     """Turn an insertion-only stream into a dynamic one by giving a churn
     fraction of edges a delete + re-insert pair at random later positions.
-    The replayed final snapshot is unchanged."""
+    The replayed final snapshot is unchanged. O(m log m) for m updates."""
     if not (0.0 <= churn <= 1.0):
         raise ParameterError(f"churn must be in [0, 1], got {churn}")
     if any(upd.op != INSERT for upd in updates):
         raise ParameterError("dynamify input must be insertion-only")
 
     rng = random.Random(seed)
-    out = list(updates)
-    k = round(churn * len(out))
+    m = len(updates)
+    k = round(churn * m)
     if k == 0:
-        return header, out
+        return header, list(updates)
 
-    chosen = rng.sample(range(len(updates)), k)
+    # The output is kept as the originals in order, each followed by the
+    # updates placed in the gap after it. A Fenwick tree over 1 + gap size per
+    # original gives an original's position, and the gap that holds any
+    # position, in O(log m) where a list search and insert cost O(m). Like
+    # that search, an update is found at the first original equal to it.
+    first: dict[StreamUpdate, int] = {}
+    for i, upd in enumerate(updates):
+        first.setdefault(upd, i)
+    gaps: list[list[StreamUpdate]] = [[] for _ in range(m)]
+    tree = [i & -i for i in range(m + 1)]  # every original alone: all ones
+    size = m
+    top_bit = 1 << (m.bit_length() - 1)
+
+    def position(g: int) -> int:  # index of original g in the list
+        total = 0
+        while g > 0:
+            total += tree[g]
+            g -= g & -g
+        return total
+
+    def place(j: int, upd: StreamUpdate) -> None:  # list.insert(j, upd), 1 <= j <= size
+        g, before, step = 0, 0, top_bit
+        while step:  # largest g with position(g) < j: item j-1 is original g or in its gap
+            if g + step <= m and before + tree[g + step] < j:
+                g += step
+                before += tree[g]
+            step >>= 1
+        gaps[g].insert(j - before - 1, upd)
+        g += 1
+        while g <= m:
+            tree[g] += 1
+            g += g & -g
+
+    chosen = rng.sample(range(m), k)
     for orig_idx in sorted(chosen):
         upd = updates[orig_idx]
-        pos = out.index(upd)
-        j1 = rng.randint(pos + 1, len(out))
-        out.insert(j1, StreamUpdate(DELETE, upd.u, upd.v, upd.w))
-        j2 = rng.randint(j1 + 1, len(out))
-        out.insert(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
+        pos = position(first[upd])
+        j1 = rng.randint(pos + 1, size)
+        place(j1, StreamUpdate(DELETE, upd.u, upd.v, upd.w))
+        j2 = rng.randint(j1 + 1, size + 1)
+        place(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
+        size += 2
+    out: list[StreamUpdate] = []
+    for upd, gap in zip(updates, gaps):
+        out.append(upd)
+        out.extend(gap)
     return StreamHeader(header.n, header.wmax, DYNAMIC), out

@@ -1,8 +1,9 @@
 """The weighted-to-cardinality reduction.
 
-Each update fans out to the estimators of every level its weight reaches.
-After the pass, a descending greedy combine turns the per-level cardinality
-estimates into a weight estimate: iterating from the top level down,
+One estimator serves every level: each update reaches it once, with the top
+level its weight reaches, and counts on levels 0..top. After the pass, a
+descending greedy combine turns the per-level cardinality estimates into a
+weight estimate: iterating from the top level down,
 
     m_hat[i]  = max(m_hat[i+1], s_hat[i])
     delta[i]  = max(0, ceil(m_hat[i] - 2*b[i+1]))
@@ -48,13 +49,6 @@ class RunReport:
     level_words: tuple[int, ...] = field(default=())  # indexed by level, not serialized
 
 
-def route_update(schedule: LevelSchedule, estimators: Sequence, update: StreamUpdate) -> None:
-    """Forward the (unweighted) update to levels 0..top_level(w), inclusive."""
-    top = top_level(schedule, update.w)
-    for i in range(top + 1):
-        estimators[i].update(update.op, update.u, update.v)
-
-
 def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> RunReport:
     """Run the descending greedy combine on per-level estimates."""
     t = schedule.levels
@@ -89,19 +83,16 @@ def run(
     delta: float,
     estimator_kind: str,
 ) -> RunReport:
-    """One-pass end-to-end run: schedule, route, finalize, combine."""
+    """One-pass end-to-end run: schedule, estimate every level, combine."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     schedule = build_schedule(epsilon, header.wmax)
     t = schedule.levels
     delta_prime = delta / (t + 1)
-    estimators = [
-        make_estimator(estimator_kind, header.n, delta_prime, header.model)
-        for _ in range(t + 1)
-    ]
+    est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
     for upd in updates:
-        route_update(schedule, estimators, upd)
-    estimates = [est.finalize() for est in estimators]
+        est.update(upd.op, upd.u, upd.v, top_level(schedule, upd.w))
+    estimates = est.finalize()
     report = combine(schedule, [e.value for e in estimates])
     return replace(
         report,

@@ -1,6 +1,18 @@
-"""Shared corpus builders for the randomized suites."""
+"""Shared corpus builders and reference implementations for the randomized
+suites."""
 
-from wmstream import GenConfig, generate, replay
+import random
+
+from wmstream import (
+    GenConfig,
+    GraphSnapshot,
+    ParameterError,
+    StreamError,
+    exact_mcm,
+    generate,
+    replay,
+)
+from wmstream.stream_io import DELETE, DYNAMIC, INSERT, StreamHeader, StreamUpdate
 
 ORACLE_EDGE_CAP = 24
 
@@ -61,3 +73,68 @@ def corpus_instances():
         if len(replay(header, updates).edges) <= ORACLE_EDGE_CAP:
             out.append((config, header, updates))
     return out
+
+
+# --- single-level references for the nested estimators ------------------------
+
+
+def greedy_level_reference(edges):
+    """Greedy maximal matching of one level's (u, v) inserts, kept as a set
+    of matched vertices: (value, words_stored) as the greedy estimator
+    reports them for that level."""
+    matched: set[int] = set()
+    size = 0
+    for u, v in edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            size += 1
+    return float(size), size
+
+
+def exact_level_reference(n, updates):
+    """One level's (op, u, v) updates kept as a multiset of pairs: (exact MCM
+    of the surviving pairs, peak number of distinct live pairs)."""
+    mult: dict[tuple[int, int], int] = {}
+    peak = 0
+    for op, u, v in updates:
+        key = (min(u, v), max(u, v))
+        if op == INSERT:
+            mult[key] = mult.get(key, 0) + 1
+            peak = max(peak, len(mult))
+        elif mult.get(key, 0) == 0:
+            raise StreamError(f"delete of absent edge {key}")
+        elif mult[key] == 1:
+            del mult[key]
+        else:
+            mult[key] -= 1
+    snapshot = GraphSnapshot(n, tuple(sorted((u, v, 1.0) for u, v in mult)))
+    return float(exact_mcm(snapshot).value), peak
+
+
+# --- the quadratic dynamify, kept as the reference for the indexed one --------
+
+
+def dynamify_reference(header, updates, churn, seed):
+    """``generators.dynamify`` as first written: each chosen update is found
+    with ``out.index`` and its delete/re-insert pair placed with
+    ``out.insert``, O(m^2) in all."""
+    if not (0.0 <= churn <= 1.0):
+        raise ParameterError(f"churn must be in [0, 1], got {churn}")
+    if any(upd.op != INSERT for upd in updates):
+        raise ParameterError("dynamify input must be insertion-only")
+
+    rng = random.Random(seed)
+    out = list(updates)
+    k = round(churn * len(out))
+    if k == 0:
+        return header, out
+
+    chosen = rng.sample(range(len(updates)), k)
+    for orig_idx in sorted(chosen):
+        upd = updates[orig_idx]
+        pos = out.index(upd)
+        j1 = rng.randint(pos + 1, len(out))
+        out.insert(j1, StreamUpdate(DELETE, upd.u, upd.v, upd.w))
+        j2 = rng.randint(j1 + 1, len(out))
+        out.insert(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
+    return StreamHeader(header.n, header.wmax, DYNAMIC), out

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from helpers import exact_level_reference, greedy_level_reference
 from wmstream import (
     CapabilityError,
     GraphSnapshot,
     ParameterError,
     StreamError,
+    build_schedule,
     exact_mcm,
     make_estimator,
+    top_level,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
@@ -53,7 +56,7 @@ def test_greedy_path_in_order():
     est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY)
     for u, v in [(1, 2), (2, 3), (3, 4)]:
         est.update(INSERT, u, v)
-    assert est.finalize().value == 2.0
+    assert est.finalize()[0].value == 2.0
 
 
 def test_greedy_path_middle_edge_first():
@@ -62,21 +65,21 @@ def test_greedy_path_middle_edge_first():
     est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY)
     for u, v in [(2, 3), (1, 2), (3, 4)]:
         est.update(INSERT, u, v)
-    assert est.finalize().value == 1.0
+    assert est.finalize()[0].value == 1.0
 
 
 def test_greedy_star_collapses_to_one():
     est = make_estimator(GREEDY, 5, 0.05, INSERT_ONLY)
     for u, v in [(5, 1), (5, 2), (5, 3)]:
         est.update(INSERT, u, v)
-    assert est.finalize().value == 1.0
+    assert est.finalize()[0].value == 1.0
 
 
 def test_exact_offline_cancellation():
     est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC)
     est.update(INSERT, 1, 2)
     est.update(DELETE, 1, 2)
-    result = est.finalize()
+    result = est.finalize()[0]
     assert result.value == 0.0
     assert result.words_stored == 1  # one edge was retained at peak
 
@@ -91,7 +94,7 @@ def test_exact_offline_triangle():
     est = make_estimator(EXACT_OFFLINE, 3, 0.05, INSERT_ONLY)
     for u, v in [(1, 2), (2, 3), (1, 3)]:
         est.update(INSERT, u, v)
-    assert est.finalize().value == 1.0
+    assert est.finalize()[0].value == 1.0
 
 
 def test_two_disjoint_edges_either_estimator():
@@ -99,7 +102,7 @@ def test_two_disjoint_edges_either_estimator():
         est = make_estimator(kind, 4, 0.05, INSERT_ONLY)
         est.update(INSERT, 1, 2)
         est.update(INSERT, 3, 4)
-        assert est.finalize().value == 2.0
+        assert est.finalize()[0].value == 2.0
 
 
 def _random_edge_list(rng, n, max_edges):
@@ -121,7 +124,7 @@ def test_greedy_two_approximation_vs_oracle():
         est = make_estimator(GREEDY, n, 0.05, INSERT_ONLY)
         for u, v in edges:
             est.update(INSERT, u, v)
-        g = est.finalize().value
+        g = est.finalize()[0].value
         m = exact_mcm(
             GraphSnapshot(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
         ).value
@@ -135,7 +138,7 @@ def test_greedy_space_bounded_by_half_n():
         est = make_estimator(GREEDY, n, 0.05, INSERT_ONLY)
         for u, v in _random_edge_list(rng, n, 20):
             est.update(INSERT, u, v)
-        assert est.finalize().words_stored <= n // 2
+        assert est.finalize()[0].words_stored <= n // 2
 
 
 def test_exact_offline_matches_oracle_on_replayed_snapshot():
@@ -149,7 +152,7 @@ def test_exact_offline_matches_oracle_on_replayed_snapshot():
         expected = exact_mcm(
             GraphSnapshot(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
         ).value
-        assert est.finalize().value == float(expected)
+        assert est.finalize()[0].value == float(expected)
 
 
 def test_estimators_deterministic():
@@ -162,3 +165,110 @@ def test_estimators_deterministic():
                 est.update(INSERT, u, v)
             results.append(est.finalize())
         assert results[0] == results[1]
+
+
+# --- the nested estimator against one plain reference per level ----------------
+
+
+def _weighted_stream(rng, schedule, n, length, deletes):
+    """(op, u, v, w) updates on at most n vertices. Weights mix exact
+    thresholds, integers and floats in [1, wmax]. Every copy of a live pair
+    carries that pair's weight; with ``deletes``, live pairs are deleted and
+    pairs are inserted again while live."""
+    live: dict[tuple[int, int], list] = {}  # pair -> [copies, w]
+    out = []
+    for _ in range(length):
+        if deletes and live and rng.random() < 0.35:
+            pair = rng.choice(sorted(live))
+            entry = live[pair]
+            out.append((DELETE, *pair, entry[1]))
+            entry[0] -= 1
+            if entry[0] == 0:
+                del live[pair]
+            continue
+        u, v = rng.sample(range(1, n + 1), 2)
+        pair = (min(u, v), max(u, v))
+        if pair in live:  # a repeated insert of a live pair keeps its weight
+            live[pair][0] += 1
+            out.append((INSERT, u, v, live[pair][1]))
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = rng.choice([t for t in schedule.thresholds if t <= schedule.wmax])
+        elif kind == 1:
+            w = float(rng.randint(1, int(schedule.wmax)))
+        else:
+            w = rng.uniform(1.0, schedule.wmax)
+        if deletes:
+            live[pair] = [1, w]
+        out.append((INSERT, u, v, w))
+    return out
+
+
+def _nested_vs_reference(kind, schedule, n, stream):
+    model = DYNAMIC if kind == EXACT_OFFLINE else INSERT_ONLY
+    est = make_estimator(kind, n, 0.05, model, schedule.levels)
+    for op, u, v, w in stream:
+        est.update(op, u, v, top_level(schedule, w))
+    got = [(e.value, e.words_stored) for e in est.finalize()]
+    want = []
+    for t in schedule.thresholds:  # level i sees exactly the updates with w >= t_i
+        level = [(op, u, v) for op, u, v, w in stream if w >= t]
+        if kind == GREEDY:
+            want.append(greedy_level_reference((u, v) for _, u, v in level))
+        else:
+            want.append(exact_level_reference(n, level))
+    return got, want
+
+
+@pytest.mark.parametrize("kind", [GREEDY, EXACT_OFFLINE])
+@pytest.mark.parametrize("epsilon,wmax", [(0.1, 64.0), (0.5, 16.0), (1.0, 5.0), (0.3, 1.0)])
+def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
+    schedule = build_schedule(epsilon, wmax)
+    rng = random.Random(f"{kind}/{epsilon}/{wmax}")
+    for _ in range(60):
+        n = rng.randint(2, 7)  # at most 21 pairs: within the oracle cap on every level
+        stream = _weighted_stream(rng, schedule, n, rng.randint(0, 40), kind == EXACT_OFFLINE)
+        got, want = _nested_vs_reference(kind, schedule, n, stream)
+        assert got == want, stream
+
+
+def test_nested_estimator_counts_a_weight_on_a_threshold_at_that_level():
+    schedule = build_schedule(0.1, 64.0)
+    k = 17
+    stream = [(INSERT, 1, 2, schedule.thresholds[k]), (INSERT, 3, 4, schedule.thresholds[k + 1])]
+    for kind in (GREEDY, EXACT_OFFLINE):
+        got, want = _nested_vs_reference(kind, schedule, 4, stream)
+        assert got == want
+        assert [e[0] for e in got[k:k + 3]] == [2.0, 1.0, 0.0]
+
+
+def test_nested_exact_with_repeated_inserts_and_deletes_of_one_pair():
+    schedule = build_schedule(0.5, 16.0)
+    w = 5.0  # levels 0..3; 16.0 reaches 0..6, and no weight reaches level 7
+    stream = [(INSERT, 1, 2, w), (INSERT, 2, 1, w), (INSERT, 3, 4, 1.0),
+              (DELETE, 1, 2, w), (DELETE, 3, 4, 1.0), (INSERT, 1, 2, w),
+              (DELETE, 2, 1, w), (DELETE, 1, 2, w), (INSERT, 1, 2, 16.0)]
+    got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 4, stream)
+    assert got == want
+    assert [words for _, words in got] == [2, 1, 1, 1, 1, 1, 1, 0]
+    assert [value for value, _ in got] == [1.0] * 7 + [0.0]
+
+
+def test_nested_exact_refuses_a_live_pair_at_another_top_level():
+    est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC, 3)
+    est.update(INSERT, 1, 2, 2)
+    with pytest.raises(StreamError):
+        est.update(INSERT, 2, 1, 3)
+    with pytest.raises(StreamError):
+        est.update(DELETE, 1, 2, 1)
+    est.update(DELETE, 1, 2, 2)
+    est.update(INSERT, 1, 2, 3)  # gone, so it may come back at another level
+    assert [e.value for e in est.finalize()] == [1.0] * 4
+
+
+def test_nested_greedy_refuses_delete_at_any_level():
+    est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, 5)
+    est.update(INSERT, 1, 2, 5)
+    with pytest.raises(CapabilityError):
+        est.update(DELETE, 1, 2, 5)

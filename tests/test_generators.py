@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import dynamify_reference
 from wmstream import (
     GenConfig,
     ParameterError,
@@ -9,7 +12,7 @@ from wmstream import (
     replay,
     serialize,
 )
-from wmstream.stream_io import DYNAMIC, INSERT, INSERT_ONLY
+from wmstream.stream_io import DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
 
 def unit_snapshot(header, updates):
@@ -129,6 +132,38 @@ def test_dynamify_preserves_final_snapshot(churn, seed):
     header, updates = generate(config)
     out_header, out_updates = dynamify(header, updates, churn, seed + 100)
     assert replay(out_header, out_updates).edges == replay(header, updates).edges
+
+
+@pytest.mark.parametrize("churn", [0.0, 0.5, 1.0])
+def test_dynamify_matches_the_list_search_reference(churn):
+    for family in ("forest-union", "grid", "erdos-renyi"):
+        for seed in range(4):
+            config = GenConfig(
+                family=family, n=12, nu=2, rows=3, cols=5, p=0.3,
+                weight_dist="uniform-int", wmax=16.0, order="shuffled", seed=seed,
+            )
+            header, updates = generate(config)
+            assert dynamify(header, updates, churn, seed) == dynamify_reference(
+                header, updates, churn, seed
+            ), config.summary()
+    rng = random.Random(f"dynamify/{churn}")
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        m = rng.randint(0, n * (n - 1) // 2)
+        pairs = rng.sample([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)], m)
+        header = StreamHeader(n, 4.0, INSERT_ONLY)
+        updates = [StreamUpdate(INSERT, *rng.choice([(u, v), (v, u)]), float(rng.randint(1, 4)))
+                   for u, v in pairs]
+        seed = rng.randrange(10_000)
+        assert dynamify(header, updates, churn, seed) == dynamify_reference(
+            header, updates, churn, seed
+        )
+        # repeated updates: both place a repeat's pair after the first copy
+        repeated = updates + rng.choices(updates, k=len(updates) // 2)
+        rng.shuffle(repeated)
+        assert dynamify(header, repeated, churn, seed) == dynamify_reference(
+            header, repeated, churn, seed
+        )
 
 
 def test_dynamify_rejects_dynamic_input():

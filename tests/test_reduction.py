@@ -20,40 +20,40 @@ from wmstream import (
     replay,
     report_to_dict,
     report_to_json,
-    route_update,
     run,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 from wmstream.reduction import LevelState
-from wmstream.stream_io import INSERT_ONLY, StreamHeader, StreamUpdate
+from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 from dataclasses import replace
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
 
-class RecordingEstimator:
-    def __init__(self):
-        self.received = []
-
-    def update(self, op, u, v):
-        self.received.append((op, u, v))
+def _s_hats(report):
+    """Per-level s_hat of a report, indexed by level."""
+    return [st.s_hat for st in sorted(report.levels, key=lambda st: st.level)]
 
 
 def test_route_fans_out_to_reachable_levels():
-    schedule = build_schedule(1.0, 4.0)
-    sinks = [RecordingEstimator() for _ in range(3)]
-    route_update(schedule, sinks, StreamUpdate("insert", 3, 4, 4.0))
-    assert [len(s.received) for s in sinks] == [1, 1, 1]
-    route_update(schedule, sinks, StreamUpdate("insert", 1, 2, 1.0))
-    assert [len(s.received) for s in sinks] == [2, 1, 1]
+    # thresholds 1, 2, 4: weight 4 reaches levels 0..2, weight 1 only level 0;
+    # the edges are disjoint, so each greedy level counts the edges it saw
+    header = StreamHeader(4, 4.0, INSERT_ONLY)
+    heavy = StreamUpdate("insert", 3, 4, 4.0)
+    light = StreamUpdate("insert", 1, 2, 1.0)
+    assert _s_hats(run(header, [heavy], 1.0, 0.1, GREEDY)) == [1.0, 1.0, 1.0]
+    assert _s_hats(run(header, [heavy, light], 1.0, 0.1, GREEDY)) == [2.0, 1.0, 1.0]
 
 
 def test_route_delete_mirrors_insert_levels():
-    schedule = build_schedule(1.0, 4.0)
-    sinks = [RecordingEstimator() for _ in range(3)]
-    route_update(schedule, sinks, StreamUpdate("insert", 1, 2, 3.0))
-    route_update(schedule, sinks, StreamUpdate("delete", 1, 2, 3.0))
-    assert [len(s.received) for s in sinks] == [2, 2, 0]
+    # weight 3 reaches levels 0..1; the delete must leave exactly those levels:
+    # they held the pair at their peak, and every level ends empty
+    header = StreamHeader(4, 4.0, DYNAMIC)
+    updates = [StreamUpdate("insert", 1, 2, 3.0), StreamUpdate("delete", 1, 2, 3.0)]
+    report = run(header, updates, 1.0, 0.1, EXACT_OFFLINE)
+    assert report.level_words == (1, 1, 0)
+    assert _s_hats(report) == [0.0, 0.0, 0.0]
+    assert _s_hats(run(header, updates[:1], 1.0, 0.1, EXACT_OFFLINE)) == [1.0, 1.0, 0.0]
 
 
 def test_combine_hand_trace():
