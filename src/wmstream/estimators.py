@@ -63,6 +63,8 @@ class GreedyEstimator:
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if op == DELETE:
             raise CapabilityError("greedy estimator cannot process deletes")
+        if not (0 < u <= self.n and 0 < v <= self.n):  # ids index the mask list
+            raise StreamError(f"vertex out of range in edge ({u}, {v})")
         mask = self._mask
         new = self._full[top] & ~(mask[u] | mask[v])
         if new:

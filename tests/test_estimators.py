@@ -46,10 +46,20 @@ def test_make_estimator_rejects_empty_vertex_set(kind):
 
 
 def test_greedy_refuses_delete_update():
-    est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY)
-    est.update(INSERT, 1, 2)
-    with pytest.raises(CapabilityError):
-        est.update(DELETE, 1, 2)
+    for levels in (0, 5):
+        est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, levels)
+        est.update(INSERT, 1, 2, levels)
+        with pytest.raises(CapabilityError):
+            est.update(DELETE, 1, 2, levels)
+
+
+def test_greedy_refuses_a_vertex_outside_1_to_n():
+    est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, 2)
+    for u, v in [(-1, 2), (0, 2), (1, 5)]:
+        with pytest.raises(StreamError):
+            est.update(INSERT, u, v, 2)
+    est.update(INSERT, 4, 3, 2)
+    assert [e.value for e in est.finalize()] == [1.0, 1.0, 1.0]
 
 
 def test_greedy_path_in_order():
@@ -233,16 +243,6 @@ def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
         assert got == want, stream
 
 
-def test_nested_estimator_counts_a_weight_on_a_threshold_at_that_level():
-    schedule = build_schedule(0.1, 64.0)
-    k = 17
-    stream = [(INSERT, 1, 2, schedule.thresholds[k]), (INSERT, 3, 4, schedule.thresholds[k + 1])]
-    for kind in (GREEDY, EXACT_OFFLINE):
-        got, want = _nested_vs_reference(kind, schedule, 4, stream)
-        assert got == want
-        assert [e[0] for e in got[k:k + 3]] == [2.0, 1.0, 0.0]
-
-
 def test_nested_exact_with_repeated_inserts_and_deletes_of_one_pair():
     schedule = build_schedule(0.5, 16.0)
     w = 5.0  # levels 0..3; 16.0 reaches 0..6, and no weight reaches level 7
@@ -265,10 +265,3 @@ def test_nested_exact_refuses_a_live_pair_at_another_top_level():
     est.update(DELETE, 1, 2, 2)
     est.update(INSERT, 1, 2, 3)  # gone, so it may come back at another level
     assert [e.value for e in est.finalize()] == [1.0] * 4
-
-
-def test_nested_greedy_refuses_delete_at_any_level():
-    est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, 5)
-    est.update(INSERT, 1, 2, 5)
-    with pytest.raises(CapabilityError):
-        est.update(DELETE, 1, 2, 5)

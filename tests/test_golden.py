@@ -43,7 +43,11 @@ def test_golden_estimate_verify_json(tmp_path, estimator):
 
 # Streams that fill many levels: a 1999-edge Erdos-Renyi graph with Pareto
 # float weights (greedy, eps 0.1: 73 of 74 levels non-empty) and a churned
-# 4x4 grid at the 24-edge oracle cap (exact, eps 0.5, with --verify).
+# 4x4 grid at the 24-edge oracle cap (exact, eps 0.5, with --verify). Made by
+#   gen --family erdos-renyi --n 200 --p 0.1 --weights powerlaw --alpha 1.0
+#       --wmax 1024 --order shuffled --seed 11
+#   gen --family grid --rows 4 --cols 4 --weights uniform-int --wmax 64
+#       --order shuffled --churn 0.5 --seed 5
 LARGE_ESTIMATES = [
     ("er200_powerlaw.stream", "greedy", "0.1", [], "estimate_greedy_er200.json"),
     ("grid4x4_churn.stream", "exact", "0.5", ["--verify"], "estimate_exact_churn.json"),
