@@ -32,7 +32,7 @@ TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
 def _s_hats(report):
     """Per-level s_hat of a report, indexed by level."""
-    return [st.s_hat for st in sorted(report.levels, key=lambda st: st.level)]
+    return [st.s_hat for st in reversed(report.levels)]
 
 
 def test_route_fans_out_to_reachable_levels():
