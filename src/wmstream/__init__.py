@@ -16,7 +16,7 @@ from .errors import (
     WeightRangeError,
     WmStreamError,
 )
-from .estimators import ESTIMATORS, EstimatorSpec, McmEstimate, make_estimator
+from .estimators import ESTIMATORS, McmEstimate, make_estimator
 from .generators import GenConfig, dynamify, generate
 from .oracle import OracleResult, arboricity, exact_mcm, exact_mwm
 from .reduction import (

@@ -116,11 +116,22 @@ class SuiteRow:
     estimator: str
 
 
-def parse_suite(text: str) -> list[SuiteRow]:
+def parse_suite(text: str | bytes) -> list[SuiteRow]:
     """Flat key=value blocks separated by blank lines; one block expands to
     ``reps`` rows with consecutive seeds."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"suite is not UTF-8: {exc}") from None
     rows: list[SuiteRow] = []
     block: dict[str, str] = {}
+
+    def typed(key, kind, default=None):
+        try:
+            return kind(block.get(key, default))
+        except ValueError:
+            raise ParseError(f"bad value for suite key {key}: {block[key]!r}") from None
 
     def flush():
         if not block:
@@ -134,14 +145,14 @@ def parse_suite(text: str) -> list[SuiteRow]:
         if estimator not in KINDS:
             raise ParseError(f"unknown estimator {estimator!r}")
         values = {
-            f.name: _TYPES[f.type](block[key])
+            f.name: typed(key, _TYPES[f.type])
             for key, f in _GEN_FIELDS.items()
             if key in block
         }
         base_seed = values.pop("seed", 0)
-        reps = int(block.get("reps", "1"))
-        epsilon = float(block.get("epsilon", "0.5"))
-        delta = float(block.get("delta", "0.1"))
+        reps = typed("reps", int, "1")
+        epsilon = typed("epsilon", float, "0.5")
+        delta = typed("delta", float, "0.1")
         for rep in range(reps):
             config = generators.GenConfig(**values, seed=base_seed + rep)
             rows.append(SuiteRow(config, epsilon, delta, estimator))
@@ -165,13 +176,12 @@ def parse_suite(text: str) -> list[SuiteRow]:
 def run_suite_row(row: SuiteRow) -> dict:
     """Execute one eval row; pure function of the row, safe to parallelize."""
     started = time.perf_counter()
-    lam = ESTIMATORS[row.estimator].LAM
     out = dict.fromkeys(CSV_COLUMNS, "")
     out.update({
         "config": row.config.summary(),
         "epsilon": row.epsilon,
         "estimator": row.estimator,
-        "lambda": lam,
+        "lambda": ESTIMATORS[row.estimator].LAM,
         "status": "ok",
         "elapsed": 0.0,
         "exit_code": 0,
@@ -184,9 +194,7 @@ def run_suite_row(row: SuiteRow) -> dict:
         ratio, bound, sandwich_ok = reduction.check_sandwich(report, result.value)
         lemma1_ok = reduction.check_lemma1(report)
         obs_ok = reduction.check_observations(report)
-        lemma2_ok = reduction.check_lemma2(
-            report, snapshot, [w for _, _, w in result.witness], lam
-        )
+        lemma2_ok = reduction.check_lemma2(report, snapshot, [w for _, _, w in result.witness])
         out.update(
             estimate=report.estimate,
             oracle_mwm=result.value,
@@ -226,7 +234,7 @@ def render_suite_csv(results: list[dict]) -> str:
 
 
 def cmd_eval(args) -> int:
-    with open(args.suite, "r", encoding="utf-8") as fh:
+    with open(args.suite, "rb") as fh:
         rows = parse_suite(fh.read())
 
     if args.jobs > 1 and rows:

@@ -24,21 +24,6 @@ GREEDY = "greedy"
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    lam: float
-    delta_prime: float
-    supports_deletes: bool
-
-    def __post_init__(self):
-        if self.lam < 1.0:
-            raise ParameterError(f"lambda must be >= 1, got {self.lam}")
-        if not (0.0 < self.delta_prime < 1.0):
-            raise ParameterError(
-                f"delta_prime must be in (0, 1), got {self.delta_prime}"
-            )
-
-
-@dataclass(frozen=True)
 class McmEstimate:
     value: float
     words_stored: int
@@ -54,9 +39,8 @@ class GreedyEstimator:
     LAM = 2.0
     SUPPORTS_DELETES = False
 
-    def __init__(self, n: int, delta_prime: float, levels: int = 0):
+    def __init__(self, n: int, levels: int):
         self.n = n
-        self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
         self._mask = [0] * (n + 1)
         self._full = [(2 << t) - 1 for t in range(levels + 1)]
 
@@ -108,9 +92,8 @@ class ExactOfflineEstimator:
     LAM = 1.0
     SUPPORTS_DELETES = True
 
-    def __init__(self, n: int, delta_prime: float, levels: int = 0):
+    def __init__(self, n: int, levels: int):
         self.n = n
-        self.spec = EstimatorSpec(self.LAM, delta_prime, self.SUPPORTS_DELETES)
         self._edges: dict[tuple[int, int], list[int]] = {}  # pair -> [multiplicity, top]
         self._live = [0] * (levels + 1)
         self._peak = [0] * (levels + 1)
@@ -156,8 +139,8 @@ KINDS = tuple(ESTIMATORS)
 
 
 def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: int = 0):
-    """Instantiate a fresh estimator for levels 0..levels, refusing
-    capability mismatches."""
+    """Instantiate a fresh estimator for levels 0..levels, refusing capability
+    mismatches and bad parameters (both estimators ignore delta_prime)."""
     cls = ESTIMATORS.get(kind)
     if cls is None:
         raise ParameterError(f"unknown estimator kind {kind!r}")
@@ -165,4 +148,6 @@ def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: in
         raise CapabilityError(f"{kind} estimator does not support dynamic streams")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return cls(n, delta_prime, levels)
+    if not (0.0 < delta_prime < 1.0):
+        raise ParameterError(f"delta_prime must be in (0, 1), got {delta_prime}")
+    return cls(n, levels)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
@@ -42,15 +42,18 @@ class RunReport:
     schedule: LevelSchedule
     levels: tuple[LevelState, ...]  # ordered top level down to 0
     estimate: float
-    total_words: int = 0
-    estimator: str = ""
-    delta: float = 0.0
-    delta_prime: float = 0.0
-    level_words: tuple[int, ...] = field(default=())  # indexed by level, not serialized
+    estimator: str
+    delta: float
+    delta_prime: float
+    level_words: tuple[int, ...]  # indexed by level, not serialized
+
+    @property
+    def total_words(self) -> int:
+        return sum(self.level_words)
 
 
-def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> RunReport:
-    """Run the descending greedy combine on per-level estimates."""
+def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> tuple[LevelState, ...]:
+    """Run the descending greedy combine on per-level estimates, top level down."""
     t = schedule.levels
     if len(s_hats) != t + 1:
         raise ParameterError(
@@ -73,7 +76,7 @@ def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> RunReport:
         levels.append(LevelState(i, s_hat, m_hat, delta_count, b, a))
         m_hat_next, b_next, a_next = m_hat, b, a
 
-    return RunReport(schedule, tuple(levels), estimate=levels[-1].a)
+    return tuple(levels)
 
 
 def run(
@@ -93,15 +96,9 @@ def run(
     for upd in updates:
         est.update(upd.op, upd.u, upd.v, top_level(schedule, upd.w))
     estimates = est.finalize()
-    report = combine(schedule, [e.value for e in estimates])
-    return replace(
-        report,
-        total_words=sum(e.words_stored for e in estimates),
-        estimator=estimator_kind,
-        delta=delta,
-        delta_prime=delta_prime,
-        level_words=tuple(e.words_stored for e in estimates),
-    )
+    levels = combine(schedule, [e.value for e in estimates])
+    return RunReport(schedule, levels, levels[-1].a, estimator_kind, delta, delta_prime,
+                     tuple(e.words_stored for e in estimates))
 
 
 def check_lemma1(report: RunReport) -> bool:
@@ -146,7 +143,6 @@ def check_lemma2(
     report: RunReport,
     snapshot: GraphSnapshot,
     matching_weights: Sequence[float],
-    lam: float,
 ) -> bool:
     """Both halves of lemma 2 for a report on the final graph ``snapshot``;
     matching_weights are the edge weights of an optimal weighted matching M*.
@@ -159,7 +155,7 @@ def check_lemma2(
     one such edge, so this succeeds whenever delta_j <= MCM_j - 2*b_{j+1},
     as combine ensures for s_hat <= MCM.
 
-    Upper: #{e in M* : w(e) >= thresholds[j]} <= 2*lam*b_j per level.
+    Upper: #{e in M* : w(e) >= thresholds[j]} <= 2*lambda*b_j per level.
 
     M* itself need not reach b_j: a heavy edge alone on the top levels gives
     b_j = 1 there, while M* may take two lighter edges at its endpoints.
@@ -169,6 +165,7 @@ def check_lemma2(
     CapacityError whatever the report.
     """
     check_oracle_cap(snapshot.edges)
+    lam = ESTIMATORS[report.estimator].LAM
     thresholds = report.schedule.thresholds
     weight = {(u, v): w for u, v, w in snapshot.edges}
     used: set[int] = set()

@@ -57,12 +57,15 @@ def _fmt(x: float) -> str:
 def parse_stream(text: str | bytes):
     """Parse a stream file into (header, updates).
 
-    Validates every line against the header, then replays the stream to
-    reject duplicate inserts, deletes of absent edges, and deletes whose
+    Validates every line against the header, then checks the multiset
+    rules: no duplicate inserts, deletes of absent edges, or deletes whose
     weight differs from the matching insert.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"stream is not UTF-8: {exc}") from None
 
     header = None
     updates: list[StreamUpdate] = []
@@ -77,7 +80,7 @@ def parse_stream(text: str | bytes):
 
     if header is None:
         raise ParseError("missing header line")
-    replay(header, updates)
+    _live_edges(header, updates)
     return header, updates
 
 
@@ -124,6 +127,12 @@ def _parse_update(line: str, lineno: int, header: StreamHeader) -> StreamUpdate:
 
 def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapshot:
     """Replay updates to the final graph, enforcing strict multiset rules."""
+    edges = sorted((u, v, w) for (u, v), w in _live_edges(header, updates).items())
+    return GraphSnapshot(header.n, tuple(edges))
+
+
+def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
+    """Live edges after the updates, pair -> weight; strict multiset rules."""
     present: dict[tuple[int, int], float] = {}
     for upd in updates:
         key = upd.pair()
@@ -142,8 +151,7 @@ def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapsh
                     f"for edge {key}"
                 )
             del present[key]
-    edges = tuple(sorted((u, v, w) for (u, v), w in present.items()))
-    return GraphSnapshot(header.n, edges)
+    return present
 
 
 def serialize(header: StreamHeader, updates: Iterable[StreamUpdate]) -> str:

@@ -7,11 +7,14 @@ from wmstream import (
     GenConfig,
     GraphSnapshot,
     ParameterError,
+    RunReport,
     StreamError,
+    combine,
     exact_mcm,
     generate,
     replay,
 )
+from wmstream.estimators import EXACT_OFFLINE
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, StreamHeader, StreamUpdate
 
 ORACLE_EDGE_CAP = 24
@@ -73,6 +76,14 @@ def corpus_instances():
         if len(replay(header, updates).edges) <= ORACLE_EDGE_CAP:
             out.append((config, header, updates))
     return out
+
+
+def combined_report(schedule, s_hats, estimator=EXACT_OFFLINE):
+    """A whole report around combine's trace of ``s_hats``, for checks that
+    take a report but need no stream: delta 0.1, no words stored."""
+    levels = combine(schedule, s_hats)
+    width = schedule.levels + 1
+    return RunReport(schedule, levels, levels[-1].a, estimator, 0.1, 0.1 / width, (0,) * width)
 
 
 # --- single-level references for the nested estimators ------------------------

@@ -17,7 +17,6 @@ from wmstream import (
     check_lemma1,
     check_lemma2,
     check_observations,
-    combine,
     dynamify,
     exact_mcm,
     exact_mwm,
@@ -30,7 +29,7 @@ from wmstream import (
 from wmstream.cli import main
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 
-from helpers import corpus_instances
+from helpers import combined_report, corpus_instances
 
 EPSILONS = (0.1, 0.5, 1.0)
 REL = 1e-9
@@ -115,7 +114,7 @@ def test_criterion_3_lemma1(exact_reports, greedy_reports):
         s_hats = [float(rng.randint(0, 8)) for _ in range(schedule.levels + 1)]
         if rng.random() < 0.3:
             s_hats = [s + rng.random() for s in s_hats]
-        assert check_lemma1(combine(schedule, s_hats))
+        assert check_lemma1(combined_report(schedule, s_hats))
         fuzzed += 1
     _announce(3, f"{len(exact_reports) + len(greedy_reports)} reports + 200 fuzzed",
               started)
@@ -139,7 +138,7 @@ def test_criterion_5_lemma2_oracle_check(exact_reports):
     started = time.perf_counter()
     for config, header, updates, epsilon, oracle, report in exact_reports:
         weights = [w for _, _, w in oracle.witness]
-        ok = check_lemma2(report, replay(header, updates), weights, 1.0)
+        ok = check_lemma2(report, replay(header, updates), weights)
         if not ok:
             pytest.fail(
                 "lemma 2 violated on instance:\n"

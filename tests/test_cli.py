@@ -173,6 +173,24 @@ def test_parse_suite_rejects_unknown_key():
         parse_suite("family=grid\nestimator=exact\nbogus=1\n")
 
 
+@pytest.mark.parametrize("key, value", [("reps", "x"), ("rows", "two"), ("epsilon", "abc")])
+def test_eval_bad_suite_value_is_a_parse_error(tmp_path, capsys, key, value):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"family=grid\nestimator=exact\n{key}={value}\n")
+    assert main(["eval", "--suite", str(suite)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    stream = tmp_path / "bad.stream"
+    stream.write_bytes(b"n 2 wmax 1 model insert-only\n+ 1 2 \xff\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_bytes(b"family=grid\nestimator=exact\n# \xff\n")
+    assert main(["estimate", "--stream", str(stream), "--epsilon", "0.5"]) == 2
+    assert main(["oracle", "--stream", str(stream), "--mode", "mwm"]) == 2
+    assert main(["eval", "--suite", str(suite)]) == 2
+
+
 def test_eval_suite_end_to_end(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_text(SUITE)

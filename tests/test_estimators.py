@@ -4,6 +4,7 @@ import pytest
 
 from helpers import exact_level_reference, greedy_level_reference
 from wmstream import (
+    ESTIMATORS,
     CapabilityError,
     GraphSnapshot,
     ParameterError,
@@ -19,14 +20,14 @@ from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
 
 def test_greedy_reports_lambda_2():
     est = make_estimator(GREEDY, 10, 0.05, INSERT_ONLY)
-    assert est.spec.lam == 2.0
-    assert not est.spec.supports_deletes
+    assert est.LAM == 2.0
+    assert not est.SUPPORTS_DELETES
 
 
 def test_exact_reports_lambda_1():
     est = make_estimator(EXACT_OFFLINE, 10, 0.05, INSERT_ONLY)
-    assert est.spec.lam == 1.0
-    assert est.spec.supports_deletes
+    assert est.LAM == 1.0
+    assert est.SUPPORTS_DELETES
 
 
 def test_greedy_refuses_dynamic_stream():
@@ -43,6 +44,18 @@ def test_make_estimator_rejects_unknown_kind():
 def test_make_estimator_rejects_empty_vertex_set(kind):
     with pytest.raises(ParameterError):
         make_estimator(kind, 0, 0.05, INSERT_ONLY)
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+@pytest.mark.parametrize("delta_prime", [0.0, 1.0])
+def test_make_estimator_rejects_delta_prime_outside_0_1(kind, delta_prime):
+    with pytest.raises(ParameterError):
+        make_estimator(kind, 10, delta_prime, INSERT_ONLY)
+
+
+def test_every_estimator_declares_lambda_at_least_1():
+    # the sandwich bound 2*lambda*(1+eps) and lemma 2 assume lambda >= 1
+    assert all(cls.LAM >= 1.0 for cls in ESTIMATORS.values())
 
 
 def test_greedy_refuses_delete_update():

@@ -27,6 +27,8 @@ from wmstream.reduction import LevelState
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 from dataclasses import replace
 
+from helpers import combined_report
+
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
 
@@ -58,9 +60,9 @@ def test_route_delete_mirrors_insert_levels():
 
 def test_combine_hand_trace():
     schedule = build_schedule(1.0, 4.0)
-    report = combine(schedule, [2.0, 1.0, 1.0])
-    assert report.estimate == 4.0
-    assert report.levels == (
+    levels = combine(schedule, [2.0, 1.0, 1.0])
+    assert levels[-1].a == 4.0
+    assert levels == (
         LevelState(2, 1.0, 1.0, 1, 1, 4.0),
         LevelState(1, 1.0, 1.0, 0, 1, 4.0),
         LevelState(0, 2.0, 2.0, 0, 1, 4.0),
@@ -69,17 +71,17 @@ def test_combine_hand_trace():
 
 def test_combine_all_zero():
     schedule = build_schedule(1.0, 4.0)
-    report = combine(schedule, [0.0, 0.0, 0.0])
-    assert report.estimate == 0.0
-    assert all(st.delta_count == 0 for st in report.levels)
+    levels = combine(schedule, [0.0, 0.0, 0.0])
+    assert levels[-1].a == 0.0
+    assert all(st.delta_count == 0 for st in levels)
 
 
 def test_combine_single_level():
     schedule = build_schedule(0.5, 1.0)
-    report = combine(schedule, [3.0])
-    assert report.levels[0].delta_count == 3
-    assert report.levels[0].b == 3
-    assert report.estimate == 3.0
+    levels = combine(schedule, [3.0])
+    assert levels[0].delta_count == 3
+    assert levels[0].b == 3
+    assert levels[-1].a == 3.0
 
 
 def test_combine_rejects_negative_estimate():
@@ -121,11 +123,18 @@ def test_run_splits_delta_across_levels():
     assert report.estimator == EXACT_OFFLINE
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_run_rejects_delta_outside_0_1(delta):
+    header, updates = parse_stream(TWO_EDGE_STREAM)
+    with pytest.raises(ParameterError):
+        run(header, updates, 1.0, delta, EXACT_OFFLINE)
+
+
 def test_check_lemma1_accepts_and_rejects():
     schedule = build_schedule(1.0, 4.0)
-    report = combine(schedule, [2.0, 1.0, 1.0])
+    report = combined_report(schedule, [2.0, 1.0, 1.0])
     assert check_lemma1(report)
-    assert check_lemma1(combine(schedule, [0.0, 0.0, 0.0]))
+    assert check_lemma1(combined_report(schedule, [0.0, 0.0, 0.0]))
     forged = replace(
         report,
         levels=(
@@ -139,7 +148,7 @@ def test_check_lemma1_accepts_and_rejects():
 
 def test_check_observations_accepts_and_rejects():
     schedule = build_schedule(1.0, 4.0)
-    report = combine(schedule, [2.0, 1.0, 1.0])
+    report = combined_report(schedule, [2.0, 1.0, 1.0])
     assert check_observations(report)
     tampered = replace(
         report,
@@ -157,7 +166,7 @@ def test_check_lemma2_on_two_edge_instance():
     report = run(header, updates, 1.0, 0.1, EXACT_OFFLINE)
     snapshot = replay(header, updates)
     witness = exact_mwm(snapshot).witness
-    assert check_lemma2(report, snapshot, [w for _, _, w in witness], 1.0)
+    assert check_lemma2(report, snapshot, [w for _, _, w in witness])
     # and on the path 3-1-2-4 at one level: b = 2 is met only by the maximum
     # matching {(1, 3), (2, 4)}, not by the maximal one the first edge starts
     header, updates = parse_stream(
@@ -167,7 +176,7 @@ def test_check_lemma2_on_two_edge_instance():
     assert [st.b for st in report.levels] == [2]
     snapshot = replay(header, updates)
     witness = exact_mwm(snapshot).witness
-    assert check_lemma2(report, snapshot, [w for _, _, w in witness], 1.0)
+    assert check_lemma2(report, snapshot, [w for _, _, w in witness])
 
 
 def test_check_lemma2_refuses_a_graph_over_the_oracle_cap():
@@ -180,7 +189,7 @@ def test_check_lemma2_refuses_a_graph_over_the_oracle_cap():
     report = run(header, [], 0.5, 0.1, GREEDY)
     assert all(st.delta_count == 0 for st in report.levels)
     with pytest.raises(CapacityError):
-        check_lemma2(report, replay(header, updates), [], 1.0)
+        check_lemma2(report, replay(header, updates), [])
 
 
 # The stream is + 4 5 11, + 3 4 30, + 2 4 43, + 1 6 51, + 1 4 62: the edge of
@@ -201,7 +210,7 @@ def _heavy_edge_alone_run():
 
 def test_check_lemma2_holds_where_optimal_matching_misses_the_top_level():
     snapshot, report, weights = _heavy_edge_alone_run()
-    assert check_lemma2(report, snapshot, weights, 1.0)
+    assert check_lemma2(report, snapshot, weights)
     # the dropped form, b_j <= #{e in M*: w(e) >= thresholds[j]}, is false here
     top = next(st for st in report.levels if st.b > 0)
     threshold = report.schedule.thresholds[top.level]
@@ -210,7 +219,7 @@ def test_check_lemma2_holds_where_optimal_matching_misses_the_top_level():
     assert sorted(weights) == [43.0, 51.0]
     assert sum(1 for w in weights if w >= threshold) == 0
     # upper half: b = 1 allows at most 2*lam = 2 edges of M* at this level
-    assert not check_lemma2(report, snapshot, [62.0, 62.0, 62.0], 1.0)
+    assert not check_lemma2(report, snapshot, [62.0, 62.0, 62.0])
 
 
 def _raise_delta(report, level):
@@ -231,7 +240,7 @@ def test_check_lemma2_rejects_counts_no_single_matching_realises():
     # the top levels hold one edge, so b = 2 there cannot be realised
     tampered = _raise_delta(report, top.level)
     assert check_observations(tampered)
-    assert not check_lemma2(tampered, snapshot, weights, 1.0)
+    assert not check_lemma2(tampered, snapshot, weights)
     # Level 0 holds the whole graph, whose maximum matching has 2 edges, so
     # b_0 = 2 passes lemma 1 and the per-level bracket b_0 <= MCM_0 <= 2*b_0.
     # Every edge touches vertex 1 or 4, which the top-level edge (1, 4) uses,
@@ -239,19 +248,19 @@ def test_check_lemma2_rejects_counts_no_single_matching_realises():
     tampered = _raise_delta(report, 0)
     assert check_observations(tampered)
     assert check_lemma1(tampered)
-    assert not check_lemma2(tampered, snapshot, weights, 1.0)
+    assert not check_lemma2(tampered, snapshot, weights)
     # b or the estimate raised alone, beyond what the deltas' matching gives
     forged_b = replace(report, levels=report.levels[:-1]
                        + (replace(report.levels[-1], b=report.levels[-1].b + 1),))
-    assert not check_lemma2(forged_b, snapshot, weights, 1.0)
+    assert not check_lemma2(forged_b, snapshot, weights)
     forged_estimate = replace(report, estimate=report.estimate + 10.0)
-    assert not check_lemma2(forged_estimate, snapshot, weights, 1.0)
+    assert not check_lemma2(forged_estimate, snapshot, weights)
     # a delta the top level's one edge cannot supply, with b left as it was
     forged_delta = replace(report, levels=tuple(
         replace(st, delta_count=st.delta_count + 1) if st is top else st
         for st in report.levels
     ))
-    assert not check_lemma2(forged_delta, snapshot, weights, 1.0)
+    assert not check_lemma2(forged_delta, snapshot, weights)
 
 
 @given(
@@ -262,7 +271,7 @@ def test_lemma1_and_observations_hold_on_fuzzed_vectors(values, epsilon):
     schedule = build_schedule(epsilon, float((1 + epsilon) ** (len(values) - 1)) if len(values) > 1 else 1.0)
     s_hats = [float(v) for v in values[: schedule.levels + 1]]
     s_hats += [0.0] * (schedule.levels + 1 - len(s_hats))
-    report = combine(schedule, s_hats)
+    report = combined_report(schedule, s_hats)
     assert check_lemma1(report)
     assert check_observations(report)
 
@@ -275,8 +284,7 @@ def test_lemma1_holds_for_fractional_estimates(values, epsilon):
     schedule = build_schedule(epsilon, float((1 + epsilon) ** (len(values) - 1)) if len(values) > 1 else 1.0)
     s_hats = list(values[: schedule.levels + 1])
     s_hats += [0.0] * (schedule.levels + 1 - len(s_hats))
-    report = combine(schedule, s_hats)
-    assert check_lemma1(report)
+    assert check_lemma1(combined_report(schedule, s_hats))
 
 
 def test_m_hat_monotone_from_top_down():
@@ -284,8 +292,7 @@ def test_m_hat_monotone_from_top_down():
     schedule = build_schedule(0.5, 30.0)
     for _ in range(30):
         s_hats = [float(rng.randint(0, 6)) for _ in range(schedule.levels + 1)]
-        report = combine(schedule, s_hats)
-        m_hats = [st.m_hat for st in report.levels]  # top level first
+        m_hats = [st.m_hat for st in combine(schedule, s_hats)]  # top level first
         assert m_hats == sorted(m_hats)
 
 
@@ -345,8 +352,8 @@ def test_greedy_estimator_tracks_space_per_level():
 
 def _sandwich(estimate, mwm, kind=EXACT_OFFLINE, epsilon=0.5):
     schedule = build_schedule(epsilon, 4.0)
-    report = combine(schedule, [0.0] * (schedule.levels + 1))
-    return check_sandwich(replace(report, estimate=estimate, estimator=kind), mwm)
+    report = combined_report(schedule, [0.0] * (schedule.levels + 1), kind)
+    return check_sandwich(replace(report, estimate=estimate), mwm)
 
 
 def test_check_sandwich_both_zero_is_ok():

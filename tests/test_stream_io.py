@@ -50,6 +50,7 @@ def test_parse_comments_and_blank_lines():
         "n 0 wmax 1 model insert-only\n",  # bad n
         "+ 1 2 1\n",  # missing header
         "n 2 wmax 1 model insert-only\n+ 1 2\n",  # short line
+        b"n 2 wmax 1 model insert-only\n+ 1 2 \xff\n",  # not UTF-8
     ],
 )
 def test_parse_rejects_malformed(text):
