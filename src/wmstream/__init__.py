@@ -28,7 +28,6 @@ from .reduction import (
     check_sandwich,
     combine,
     report_to_dict,
-    report_to_json,
     run,
 )
 from .schedule import LevelSchedule, build_schedule, top_level
@@ -36,11 +35,9 @@ from .stream_io import (
     GraphSnapshot,
     StreamHeader,
     StreamUpdate,
-    export_snapshot,
     parse_stream,
     replay,
     serialize,
-    snapshot_stream,
 )
 
 __version__ = "0.1.0"

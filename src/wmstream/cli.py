@@ -151,6 +151,8 @@ def parse_suite(text: str | bytes) -> list[SuiteRow]:
         }
         base_seed = values.pop("seed", 0)
         reps = typed("reps", int, "1")
+        if reps < 1:
+            raise ParseError(f"suite key reps must be >= 1, got {reps}")
         epsilon = typed("epsilon", float, "0.5")
         delta = typed("delta", float, "0.1")
         for rep in range(reps):

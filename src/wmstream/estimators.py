@@ -126,10 +126,14 @@ class ExactOfflineEstimator:
     def finalize(self) -> list[McmEstimate]:
         pairs = sorted((pair, top) for pair, (_, top) in self._edges.items())
         out = []
+        size = None
         for i, peak in enumerate(self._peak):
-            level = tuple((u, v, 1.0) for (u, v), top in pairs if top >= i)
-            result = exact_mcm(GraphSnapshot(self.n, level))
-            out.append(McmEstimate(float(result.value), peak))
+            # nested levels of equal size hold the same edges, so ask once
+            if self._live[i] != size:
+                size = self._live[i]
+                level = tuple((u, v, 1.0) for (u, v), top in pairs if top >= i)
+                value = float(exact_mcm(GraphSnapshot(self.n, level)).value)
+            out.append(McmEstimate(value, peak))
         return out
 
 

@@ -8,7 +8,6 @@ call well under a second; larger inputs are refused rather than degraded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil
 
 from .errors import CapacityError
@@ -29,14 +28,14 @@ def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
     list (include-if-endpoints-free / exclude), pruning with the remaining
     weight sum. Ties broken toward the lexicographically smallest witness.
     """
-    value, witness = _capped_search(tuple(sorted(snapshot.edges)))
+    value, witness = _mwm_search(sorted(snapshot.edges))
     return OracleResult(value, witness)
 
 
 def exact_mcm(snapshot: GraphSnapshot) -> OracleResult:
     """Maximum cardinality matching: exact_mwm on the unit-weighted graph."""
-    unit = tuple(sorted((u, v, 1.0) for u, v, _ in snapshot.edges))
-    value, witness = _capped_search(unit)
+    unit = sorted((u, v, 1.0) for u, v, _ in snapshot.edges)
+    value, witness = _mwm_search(unit)
     return OracleResult(int(value), witness)
 
 
@@ -46,14 +45,8 @@ def check_oracle_cap(edges) -> None:
         raise CapacityError(f"{len(edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}")
 
 
-def _capped_search(edges):
-    check_oracle_cap(edges)
-    return _mwm_search(edges)
-
-
-# nested levels ask for the same edge sets again and again, so results are cached
-@lru_cache(maxsize=65536)
 def _mwm_search(edges):
+    check_oracle_cap(edges)
     if not edges:
         return 0.0, ()
     verts = sorted({x for u, v, _ in edges for x in (u, v)})

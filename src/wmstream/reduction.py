@@ -15,7 +15,6 @@ and the final estimate is a[0].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -213,7 +212,3 @@ def report_to_dict(report: RunReport) -> dict:
             for st in report.levels
         ],
     }
-
-
-def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)

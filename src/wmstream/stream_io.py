@@ -38,9 +38,6 @@ class StreamUpdate:
     v: int
     w: float
 
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
 
 @dataclass(frozen=True)
 class GraphSnapshot:
@@ -135,7 +132,7 @@ def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
     """Live edges after the updates, pair -> weight; strict multiset rules."""
     present: dict[tuple[int, int], float] = {}
     for upd in updates:
-        key = upd.pair()
+        key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
         if upd.op == INSERT:
             if key in present:
                 raise StreamError(f"duplicate insert of edge {key}")
@@ -159,15 +156,3 @@ def serialize(header: StreamHeader, updates: Iterable[StreamUpdate]) -> str:
     for upd in updates:
         lines.append(f"{_OP_TO_CHAR[upd.op]} {upd.u} {upd.v} {_fmt(upd.w)}")
     return "\n".join(lines) + "\n"
-
-
-def snapshot_stream(snapshot: GraphSnapshot, wmax: float) -> tuple[StreamHeader, list[StreamUpdate]]:
-    """Re-express a snapshot as an insertion-only stream sorted by (u, v)."""
-    header = StreamHeader(snapshot.n, wmax, INSERT_ONLY)
-    updates = [StreamUpdate(INSERT, u, v, w) for u, v, w in snapshot.edges]
-    return header, updates
-
-
-def export_snapshot(snapshot: GraphSnapshot, wmax: float) -> str:
-    header, updates = snapshot_stream(snapshot, wmax)
-    return serialize(header, updates)

@@ -15,7 +15,7 @@ from wmstream import (
     replay,
 )
 from wmstream.estimators import EXACT_OFFLINE
-from wmstream.stream_io import DELETE, DYNAMIC, INSERT, StreamHeader, StreamUpdate
+from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
 ORACLE_EDGE_CAP = 24
 
@@ -76,6 +76,12 @@ def corpus_instances():
         if len(replay(header, updates).edges) <= ORACLE_EDGE_CAP:
             out.append((config, header, updates))
     return out
+
+
+def snapshot_stream(snapshot, wmax):
+    """A snapshot re-expressed as an insertion-only stream sorted by (u, v)."""
+    header = StreamHeader(snapshot.n, wmax, INSERT_ONLY)
+    return header, [StreamUpdate(INSERT, u, v, w) for u, v, w in snapshot.edges]
 
 
 def combined_report(schedule, s_hats, estimator=EXACT_OFFLINE):

@@ -24,12 +24,11 @@ from wmstream import (
     replay,
     run,
     serialize,
-    snapshot_stream,
 )
 from wmstream.cli import main
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 
-from helpers import combined_report, corpus_instances
+from helpers import combined_report, corpus_instances, snapshot_stream
 
 EPSILONS = (0.1, 0.5, 1.0)
 REL = 1e-9

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wmstream import GenConfig, generate, serialize
+from wmstream import GenConfig, ParseError, generate, serialize
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -167,8 +167,6 @@ def test_parse_suite_minimal_block_uses_genconfig_defaults():
 
 
 def test_parse_suite_rejects_unknown_key():
-    from wmstream import ParseError
-
     with pytest.raises(ParseError):
         parse_suite("family=grid\nestimator=exact\nbogus=1\n")
 
@@ -179,6 +177,17 @@ def test_eval_bad_suite_value_is_a_parse_error(tmp_path, capsys, key, value):
     suite.write_text(f"family=grid\nestimator=exact\n{key}={value}\n")
     assert main(["eval", "--suite", str(suite)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_suite_reps_below_1_is_a_parse_error(tmp_path, capsys, reps):
+    text = f"family=grid\nestimator=exact\nreps={reps}\n"
+    with pytest.raises(ParseError, match="reps"):
+        parse_suite(text)
+    suite = tmp_path / "suite.txt"
+    suite.write_text(text)
+    assert main(["eval", "--suite", str(suite)]) == 2
+    assert "reps" in capsys.readouterr().err
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path):

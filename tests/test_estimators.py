@@ -9,9 +9,13 @@ from wmstream import (
     GraphSnapshot,
     ParameterError,
     StreamError,
+    StreamHeader,
+    StreamUpdate,
     build_schedule,
+    estimators,
     exact_mcm,
     make_estimator,
+    run,
     top_level,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
@@ -278,3 +282,26 @@ def test_nested_exact_refuses_a_live_pair_at_another_top_level():
     est.update(DELETE, 1, 2, 2)
     est.update(INSERT, 1, 2, 3)  # gone, so it may come back at another level
     assert [e.value for e in est.finalize()] == [1.0] * 4
+
+
+def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
+    asked = []
+
+    def counted(snapshot):
+        asked.append(len(snapshot.edges))
+        return exact_mcm(snapshot)
+
+    monkeypatch.setattr(estimators, "exact_mcm", counted)
+    # weights 1 and 16 at eps 0.1: level 0 holds every edge, levels 1..29 the
+    # weight-16 edges, and level 30 (threshold 1.1**30 > 16) none
+    stream = [(INSERT, 1, 2, 16.0), (INSERT, 3, 4, 1.0), (INSERT, 2, 3, 1.0),
+              (INSERT, 5, 6, 16.0), (INSERT, 4, 5, 16.0), (DELETE, 5, 6, 16.0),
+              (INSERT, 1, 6, 1.0)]
+    header = StreamHeader(6, 16.0, DYNAMIC)
+    report = run(header, [StreamUpdate(*upd) for upd in stream], 0.1, 0.1, EXACT_OFFLINE)
+    assert report.schedule.levels == 30
+    assert asked == [5, 2, 0]
+    got = [(st.s_hat, report.level_words[st.level]) for st in reversed(report.levels)]
+    want = [exact_level_reference(6, [(op, u, v) for op, u, v, w in stream if w >= t])
+            for t in report.schedule.thresholds]
+    assert got == want

@@ -6,12 +6,13 @@ from wmstream import (
     StreamError,
     StreamHeader,
     StreamUpdate,
-    export_snapshot,
     parse_stream,
     replay,
     serialize,
 )
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
+
+from helpers import snapshot_stream
 
 
 def test_parse_basic_insert_only():
@@ -100,7 +101,7 @@ def test_export_snapshot_round_trips():
         "n 4 wmax 4 model dynamic\n+ 3 4 4\n+ 1 2 1\n- 3 4 4\n"
     )
     snap = replay(header, updates)
-    text = export_snapshot(snap, header.wmax)
+    text = serialize(*snapshot_stream(snap, header.wmax))
     header2, updates2 = parse_stream(text)
     assert replay(header2, updates2).edges == snap.edges
 
