@@ -8,7 +8,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 from . import generators, oracle, reduction, stream_io
@@ -240,6 +239,9 @@ def cmd_eval(args) -> int:
         rows = parse_suite(fh.read())
 
     if args.jobs > 1 and rows:
+        # imported here: multiprocessing would add start-up time to every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_suite_row, rows))
     else:

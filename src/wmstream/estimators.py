@@ -41,16 +41,16 @@ class GreedyEstimator:
 
     def __init__(self, n: int, levels: int):
         self.n = n
+        self._width = levels + 1  # one bit per level
         self._mask = [0] * (n + 1)
-        self._full = [(2 << t) - 1 for t in range(levels + 1)]
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if op == DELETE:
             raise CapabilityError("greedy estimator cannot process deletes")
-        if not (0 < u <= self.n and 0 < v <= self.n):  # ids index the mask list
-            raise StreamError(f"vertex out of range in edge ({u}, {v})")
+        if u == v or not (0 < u <= self.n and 0 < v <= self.n):  # ids index the mask list
+            raise StreamError(_bad_edge(u, v, self.n))
         mask = self._mask
-        new = self._full[top] & ~(mask[u] | mask[v])
+        new = ((2 << top) - 1) & ~(mask[u] | mask[v])
         if new:
             mask[u] |= new
             mask[v] |= new
@@ -59,15 +59,20 @@ class GreedyEstimator:
         # each level's matching only grows, so its final size is its peak
         return [
             McmEstimate(float(c // 2), c // 2)
-            for c in _bit_counts(self._mask, len(self._full))
+            for c in _bit_counts(self._mask, self._width)
         ]
+
+
+def _bad_edge(u: int, v: int, n: int) -> str:
+    return f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{n}"
 
 
 def _bit_counts(masks, width: int) -> list[int]:
     """For each bit position below ``width``, how many masks have it set.
     The counts are kept bit-sliced, ``planes[j]`` holding bit j of every
     position's count, so adding a mask is a ripple carry of a few big-int
-    operations instead of one step per position."""
+    operations instead of one step per position; each plane is then read
+    once, as a binary string."""
     planes: list[int] = []
     for carry in masks:
         j = 0
@@ -76,10 +81,12 @@ def _bit_counts(masks, width: int) -> list[int]:
                 planes.append(0)
             planes[j], carry = planes[j] ^ carry, planes[j] & carry
             j += 1
-    return [
-        sum(((plane >> i) & 1) << j for j, plane in enumerate(planes))
-        for i in range(width)
-    ]
+    counts = [0] * width
+    for j, plane in enumerate(planes):
+        for i, bit in enumerate(bin(plane)[:1:-1][:width]):  # bit i at index i
+            if bit == "1":
+                counts[i] += 1 << j
+    return counts
 
 
 class ExactOfflineEstimator:
@@ -99,6 +106,8 @@ class ExactOfflineEstimator:
         self._peak = [0] * (levels + 1)
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
+        if u == v or not (0 < u <= self.n and 0 < v <= self.n):
+            raise StreamError(_bad_edge(u, v, self.n))
         key = (u, v) if u < v else (v, u)
         entry = self._edges.get(key)
         if entry is not None and entry[1] != top:

@@ -153,9 +153,9 @@ def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
     if config.order == "shuffled":
         rng.shuffle(updates)
     elif config.order == "heavy-first":
-        updates.sort(key=lambda e: (-e.w, e.u, e.v))
+        updates.sort(key=lambda upd: (-upd[3], upd[1], upd[2]))  # (-w, u, v)
     elif config.order == "light-first":
-        updates.sort(key=lambda e: (e.w, e.u, e.v))
+        updates.sort(key=lambda upd: (upd[3], upd[1], upd[2]))  # (w, u, v)
 
     header = StreamHeader(n, wmax, INSERT_ONLY)
     if config.dynamic_churn > 0.0:
@@ -174,7 +174,7 @@ def dynamify(
     The replayed final snapshot is unchanged. O(m log m) for m updates."""
     if not (0.0 <= churn <= 1.0):
         raise ParameterError(f"churn must be in [0, 1], got {churn}")
-    if any(upd.op != INSERT for upd in updates):
+    if any(op != INSERT for op, _, _, _ in updates):
         raise ParameterError("dynamify input must be insertion-only")
 
     rng = random.Random(seed)
@@ -219,11 +219,12 @@ def dynamify(
     chosen = rng.sample(range(m), k)
     for orig_idx in sorted(chosen):
         upd = updates[orig_idx]
+        _, u, v, w = upd
         pos = position(first[upd])
         j1 = rng.randint(pos + 1, size)
-        place(j1, StreamUpdate(DELETE, upd.u, upd.v, upd.w))
+        place(j1, StreamUpdate(DELETE, u, v, w))
         j2 = rng.randint(j1 + 1, size + 1)
-        place(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
+        place(j2, StreamUpdate(INSERT, u, v, w))
         size += 2
     out: list[StreamUpdate] = []
     for upd, gap in zip(updates, gaps):

@@ -92,8 +92,8 @@ def run(
     t = schedule.levels
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
-    for upd in updates:
-        est.update(upd.op, upd.u, upd.v, top_level(schedule, upd.w))
+    for op, u, v, w in updates:
+        est.update(op, u, v, top_level(schedule, w))
     estimates = est.finalize()
     levels = combine(schedule, [e.value for e in estimates])
     return RunReport(schedule, levels, levels[-1].a, estimator_kind, delta, delta_prime,

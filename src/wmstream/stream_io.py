@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, StreamError
 
@@ -31,8 +31,9 @@ class StreamHeader:
     model: str
 
 
-@dataclass(frozen=True)
-class StreamUpdate:
+class StreamUpdate(NamedTuple):
+    """One update line as a plain ``(op, u, v, w)`` tuple."""
+
     op: str
     u: int
     v: int
@@ -52,12 +53,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_stream(text: str | bytes):
-    """Parse a stream file into (header, updates).
-
-    Validates every line against the header, then checks the multiset
-    rules: no duplicate inserts, deletes of absent edges, or deletes whose
-    weight differs from the matching insert.
-    """
+    """Parse a stream file into (header, updates), checking each update line
+    against the header as it is read, then the multiset rules: no duplicate
+    inserts, deletes of absent edges, or deletes whose weight differs from
+    the matching insert."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -72,8 +71,24 @@ def parse_stream(text: str | bytes):
             continue
         if header is None:
             header = _parse_header(line, lineno)
+            n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
             continue
-        updates.append(_parse_update(line, lineno, header))
+        parts = line.split()
+        if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
+            raise ParseError(f"bad update {line!r}", lineno)
+        try:
+            u, v, w = int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise ParseError(f"bad update fields in {line!r}", lineno) from None
+        if op == DELETE and insert_only:
+            raise ParseError("delete in insert-only stream", lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex out of range in {line!r}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop in {line!r}", lineno)
+        if not (math.isfinite(w) and 1.0 <= w <= wmax):
+            raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
+        updates.append(StreamUpdate(op, u, v, w))
 
     if header is None:
         raise ParseError("missing header line")
@@ -100,51 +115,35 @@ def _parse_header(line: str, lineno: int) -> StreamHeader:
     return StreamHeader(n, wmax, model)
 
 
-def _parse_update(line: str, lineno: int, header: StreamHeader) -> StreamUpdate:
-    parts = line.split()
-    if len(parts) != 4 or parts[0] not in _OP_CHARS:
-        raise ParseError(f"bad update {line!r}", lineno)
-    op = _OP_CHARS[parts[0]]
-    try:
-        u = int(parts[1])
-        v = int(parts[2])
-        w = float(parts[3])
-    except ValueError:
-        raise ParseError(f"bad update fields in {line!r}", lineno) from None
-    if op == DELETE and header.model == INSERT_ONLY:
-        raise ParseError("delete in insert-only stream", lineno)
-    if not (1 <= u <= header.n and 1 <= v <= header.n):
-        raise ParseError(f"vertex out of range in {line!r}", lineno)
-    if u == v:
-        raise ParseError(f"self-loop in {line!r}", lineno)
-    if not (math.isfinite(w) and 1.0 <= w <= header.wmax):
-        raise ParseError(f"weight {w} outside [1, {header.wmax}]", lineno)
-    return StreamUpdate(op, u, v, w)
-
-
 def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapshot:
-    """Replay updates to the final graph, enforcing strict multiset rules."""
+    """Replay updates to the final graph, enforcing strict multiset rules. A
+    final self-loop or vertex outside 1..n, which only updates built in code
+    can hold, is refused too."""
     edges = sorted((u, v, w) for (u, v), w in _live_edges(header, updates).items())
+    for u, v, _ in edges:  # u <= v
+        if u == v or u < 1 or v > header.n:
+            raise StreamError(
+                f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{header.n}")
     return GraphSnapshot(header.n, tuple(edges))
 
 
 def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
     """Live edges after the updates, pair -> weight; strict multiset rules."""
     present: dict[tuple[int, int], float] = {}
-    for upd in updates:
-        key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
-        if upd.op == INSERT:
+    for op, u, v, w in updates:
+        key = (u, v) if u < v else (v, u)
+        if op == INSERT:
             if key in present:
                 raise StreamError(f"duplicate insert of edge {key}")
-            present[key] = upd.w
+            present[key] = w
         else:
             if header.model == INSERT_ONLY:
                 raise StreamError("delete in insert-only stream")
             if key not in present:
                 raise StreamError(f"delete of absent edge {key}")
-            if present[key] != upd.w:
+            if present[key] != w:
                 raise StreamError(
-                    f"delete weight {upd.w} != inserted weight {present[key]} "
+                    f"delete weight {w} != inserted weight {present[key]} "
                     f"for edge {key}"
                 )
             del present[key]
@@ -153,6 +152,6 @@ def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
 
 def serialize(header: StreamHeader, updates: Iterable[StreamUpdate]) -> str:
     lines = [f"n {header.n} wmax {_fmt(header.wmax)} model {header.model}"]
-    for upd in updates:
-        lines.append(f"{_OP_TO_CHAR[upd.op]} {upd.u} {upd.v} {_fmt(upd.w)}")
+    for op, u, v, w in updates:
+        lines.append(f"{_OP_TO_CHAR[op]} {u} {v} {_fmt(w)}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wmstream
 from wmstream import GenConfig, ParseError, generate, serialize
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
@@ -281,3 +286,12 @@ def test_eval_rows_respect_guarantee_bound():
         assert result["ratio"] >= 1 - 1e-9
     csv_text = render_suite_csv([run_suite_row(r) for r in rows])
     assert csv_text.count("\n") >= 6
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only eval --jobs > 1 needs the process pool; every other command skips it
+    code = "import sys, wmstream.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(wmstream.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

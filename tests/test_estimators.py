@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -72,11 +73,41 @@ def test_greedy_refuses_delete_update():
 
 def test_greedy_refuses_a_vertex_outside_1_to_n():
     est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, 2)
-    for u, v in [(-1, 2), (0, 2), (1, 5)]:
+    for u, v in [(-1, 2), (0, 2), (1, 5), (1, 1)]:
         with pytest.raises(StreamError):
             est.update(INSERT, u, v, 2)
     est.update(INSERT, 4, 3, 2)
     assert [e.value for e in est.finalize()] == [1.0, 1.0, 1.0]
+
+
+def test_exact_refuses_a_self_loop_or_a_vertex_outside_1_to_n():
+    est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC, 2)
+    for u, v in [(1, 1), (0, 2), (1, 5)]:
+        with pytest.raises(StreamError):
+            est.update(INSERT, u, v, 2)
+    est.update(INSERT, 4, 3, 2)
+    assert [e.value for e in est.finalize()] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+def test_run_refuses_a_self_loop_built_without_the_parser(kind):
+    header = StreamHeader(3, 4.0, INSERT_ONLY)
+    with pytest.raises(StreamError):
+        run(header, [StreamUpdate(INSERT, 1, 1, 2.0)], 0.5, 0.1, kind)
+
+
+def test_greedy_state_does_not_grow_with_levels_squared():
+    # an all-ones mask per level would cost about T^2/2 bits (26 MiB here)
+    levels = 20_000
+    tracemalloc.start()
+    try:
+        est = make_estimator(GREEDY, 2, 0.01, INSERT_ONLY, levels)
+        est.update(INSERT, 1, 2, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert {e.value for e in est.finalize()} == {1.0}
 
 
 def test_greedy_path_in_order():

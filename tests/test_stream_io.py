@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmstream import (
+    GenConfig,
     ParseError,
     StreamError,
     StreamHeader,
     StreamUpdate,
+    generate,
     parse_stream,
     replay,
     serialize,
@@ -24,6 +26,20 @@ def test_parse_basic_insert_only():
         StreamUpdate(INSERT, 1, 2, 1.0),
         StreamUpdate(INSERT, 3, 4, 4.0),
     ]
+
+
+def test_records_unpack_as_plain_tuples():
+    _, parsed = parse_stream("n 3 wmax 4 model dynamic\n+ 1 2 3\n- 2 1 3\n")
+    assert [(op, u, v, w) for op, u, v, w in parsed] == [
+        (INSERT, 1, 2, 3.0),
+        (DELETE, 2, 1, 3.0),
+    ]
+    config = GenConfig(family="grid", rows=2, cols=2, order="heavy-first", dynamic_churn=0.5)
+    _, generated = generate(config)
+    for upd in generated:
+        op, u, v, w = upd
+        assert isinstance(upd, tuple)
+        assert (op, u, v, w) == (upd.op, upd.u, upd.v, upd.w)
 
 
 def test_parse_dynamic_cancellation():
@@ -47,6 +63,8 @@ def test_parse_comments_and_blank_lines():
         "n 2 wmax 1 model insert-only\n+ 1 3 1\n",  # vertex out of range
         "n 2 wmax 2 model insert-only\n+ 1 2 3\n",  # weight above wmax
         "n 2 wmax 2 model insert-only\n+ 1 2 0.5\n",  # weight below 1
+        "n 2 wmax 2 model insert-only\n+ 1 2 nan\n",  # weight not a number
+        "n 2 wmax 2 model insert-only\n+ 1 2 inf\n",  # infinite weight
         "n 2 wmax 1 model trickle\n",  # unknown model
         "n 0 wmax 1 model insert-only\n",  # bad n
         "+ 1 2 1\n",  # missing header
@@ -94,6 +112,12 @@ def test_replay_normalizes_endpoints():
     header = StreamHeader(3, 5.0, INSERT_ONLY)
     snap = replay(header, [StreamUpdate(INSERT, 3, 1, 5.0)])
     assert snap.edges == ((1, 3, 5.0),)
+
+
+@pytest.mark.parametrize("u, v", [(1, 1), (0, 2), (2, 4)])
+def test_replay_refuses_a_self_loop_or_a_vertex_outside_1_to_n(u, v):
+    with pytest.raises(StreamError):
+        replay(StreamHeader(3, 4.0, INSERT_ONLY), [StreamUpdate(INSERT, u, v, 2.0)])
 
 
 def test_export_snapshot_round_trips():
