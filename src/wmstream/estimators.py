@@ -1,9 +1,11 @@
 """Nested-level cardinality estimators.
 
 The contract: one estimator serves every level of a run. ``update(op, u, v,
-top)`` counts the unweighted edge on levels 0..top, and ``finalize()``
-returns one ``McmEstimate`` per level, indexed by level, whose ``value``
-satisfies ``value <= MCM <= LAM * value`` for that level's substream. Each
+top)`` counts the unweighted edge on levels 0..top. It raises
+``StreamError`` for a self-loop or a vertex outside 1..n, and
+``ParameterError`` for a ``top`` outside 0..levels. ``finalize()`` returns
+one ``McmEstimate`` per level, indexed by level, whose ``value`` satisfies
+``value <= MCM <= LAM * value`` for that level's substream. Each
 estimator class declares its factor ``LAM`` and whether it accepts deletes
 (``SUPPORTS_DELETES``), and is registered by name in ``ESTIMATORS``. Two
 deterministic references ship here: a streaming greedy maximal matching
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapabilityError, ParameterError, StreamError
+from .errors import CapabilityError, ParameterError, StreamError, WmStreamError
 from .oracle import exact_mcm
 from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot
 
@@ -41,14 +43,15 @@ class GreedyEstimator:
 
     def __init__(self, n: int, levels: int):
         self.n = n
-        self._width = levels + 1  # one bit per level
+        self.levels = levels
         self._mask = [0] * (n + 1)
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if op == DELETE:
             raise CapabilityError("greedy estimator cannot process deletes")
-        if u == v or not (0 < u <= self.n and 0 < v <= self.n):  # ids index the mask list
-            raise StreamError(_bad_edge(u, v, self.n))
+        # ids index the mask list; bit i of a mask is level i
+        if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
+            raise _refusal(self, u, v, top)
         mask = self._mask
         new = ((2 << top) - 1) & ~(mask[u] | mask[v])
         if new:
@@ -59,12 +62,16 @@ class GreedyEstimator:
         # each level's matching only grows, so its final size is its peak
         return [
             McmEstimate(float(c // 2), c // 2)
-            for c in _bit_counts(self._mask, self._width)
+            for c in _bit_counts(self._mask, self.levels + 1)
         ]
 
 
-def _bad_edge(u: int, v: int, n: int) -> str:
-    return f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{n}"
+def _refusal(est, u: int, v: int, top: int) -> WmStreamError:
+    """The error for an update that ``est`` refuses: a bad edge first, then
+    a top level outside 0..levels."""
+    if u == v or not (0 < u <= est.n and 0 < v <= est.n):
+        return StreamError(f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{est.n}")
+    return ParameterError(f"top level {top} outside 0..{est.levels}")
 
 
 def _bit_counts(masks, width: int) -> list[int]:
@@ -101,13 +108,14 @@ class ExactOfflineEstimator:
 
     def __init__(self, n: int, levels: int):
         self.n = n
+        self.levels = levels
         self._edges: dict[tuple[int, int], list[int]] = {}  # pair -> [multiplicity, top]
         self._live = [0] * (levels + 1)
         self._peak = [0] * (levels + 1)
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
-        if u == v or not (0 < u <= self.n and 0 < v <= self.n):
-            raise StreamError(_bad_edge(u, v, self.n))
+        if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
+            raise _refusal(self, u, v, top)
         key = (u, v) if u < v else (v, u)
         entry = self._edges.get(key)
         if entry is not None and entry[1] != top:

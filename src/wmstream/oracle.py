@@ -3,6 +3,17 @@ density-based arboricity check.
 
 These are test instruments, not streaming components. Size caps keep every
 call well under a second; larger inputs are refused rather than degraded.
+
+Two exact searches over the sorted edge list answer the matching questions,
+and both return the lexicographically smallest optimal witness:
+
+- ``exact_mwm`` runs a forward dynamic program. Its states are the used
+  vertices that a later edge still touches, so its cost follows the width of
+  that frontier rather than the 2^m include/exclude choices.
+- ``exact_mcm`` keeps the include/exclude branch-and-bound. On unit weights
+  its floor(|V|/2) ceiling ends the search at the first matching that large,
+  an early stop the dynamic program has no counterpart for. It also
+  cross-checks the dynamic program in the tests.
 """
 
 from __future__ import annotations
@@ -24,16 +35,17 @@ class OracleResult:
 
 
 def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
-    """Maximum weighted matching by branch-and-bound over the sorted edge
-    list (include-if-endpoints-free / exclude), pruning with the remaining
-    weight sum. Ties broken toward the lexicographically smallest witness.
+    """Maximum weighted matching by the frontier dynamic program over the
+    sorted edge list. Ties go to the lexicographically smallest witness, whose
+    value is summed in edge order: the branch-and-bound's answer, bit for bit.
     """
-    value, witness = _mwm_search(sorted(snapshot.edges))
+    value, witness = _mwm_frontier(sorted(snapshot.edges))
     return OracleResult(value, witness)
 
 
 def exact_mcm(snapshot: GraphSnapshot) -> OracleResult:
-    """Maximum cardinality matching: exact_mwm on the unit-weighted graph."""
+    """Maximum cardinality matching: the branch-and-bound on the
+    unit-weighted graph, which stops once no matching can be larger."""
     unit = sorted((u, v, 1.0) for u, v, _ in snapshot.edges)
     value, witness = _mwm_search(unit)
     return OracleResult(int(value), witness)
@@ -45,22 +57,61 @@ def check_oracle_cap(edges) -> None:
         raise CapacityError(f"{len(edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}")
 
 
+def _edge_masks(edges) -> list[int]:
+    """Each edge as the bit mask of its two endpoints, one bit per vertex."""
+    bit = {x: i for i, x in enumerate(sorted({x for u, v, _ in edges for x in (u, v)}))}
+    return [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
+
+
+def _mwm_frontier(edges):
+    """(value, witness) of a maximum weight matching of the sorted edges,
+    whose weights are positive. Partial matchings that agree on the used
+    vertices a later edge touches have the same completions, so only the
+    best of them is kept."""
+    check_oracle_cap(edges)
+    m = len(edges)
+    masks = _edge_masks(edges)
+    later = [0] * (m + 1)  # later[i]: the vertices of edges i..m-1
+    for i in range(m - 1, -1, -1):
+        later[i] = later[i + 1] | masks[i]
+    # A state maps its frontier to (value, chosen), edge i being bit m-1-i
+    # of chosen. Of two witnesses of equal value, neither is a prefix of the
+    # other (weights are positive), so the lexicographically smaller one has
+    # the larger chosen, and the better state is simply the larger tuple.
+    states = {0: (0.0, 0)}
+    unset = (-1.0, 0)  # below every state
+    for idx, (_, _, w) in enumerate(edges):
+        mask, keep, pick = masks[idx], later[idx + 1], 1 << (m - 1 - idx)
+        nxt: dict[int, tuple[float, int]] = {}
+        for used, state in states.items():
+            key = used & keep
+            if state > nxt.get(key, unset):
+                nxt[key] = state
+            if not used & mask:
+                key = (used | mask) & keep
+                state = (state[0] + w, state[1] | pick)
+                if state > nxt.get(key, unset):
+                    nxt[key] = state
+        states = nxt
+    value, chosen = states[0]  # later[m] is empty, so one state is left
+    return value, tuple(e for i, e in enumerate(edges) if chosen >> (m - 1 - i) & 1)
+
+
 def _mwm_search(edges):
     check_oracle_cap(edges)
     if not edges:
         return 0.0, ()
-    verts = sorted({x for u, v, _ in edges for x in (u, v)})
-    bit = {x: i for i, x in enumerate(verts)}
-    masks = [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
+    masks = _edge_masks(edges)
     weights = [w for _, _, w in edges]
     m = len(edges)
     suffix = [0.0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
-    # A matching has at most len(verts) // 2 edges, so none outweighs the
-    # heaviest that many; a best value reaching it cannot be improved.
-    ceiling = sum(sorted(weights, reverse=True)[: len(verts) // 2])
+    # A matching has at most |V| // 2 edges, so none outweighs the heaviest
+    # that many; a best value reaching it cannot be improved.
+    vertex_count = len({x for u, v, _ in edges for x in (u, v)})
+    ceiling = sum(sorted(weights, reverse=True)[: vertex_count // 2])
     best_val = 0.0
     best_wit: tuple[int, ...] = ()
 

@@ -116,35 +116,42 @@ def _parse_header(line: str, lineno: int) -> StreamHeader:
 
 
 def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapshot:
-    """Replay updates to the final graph, enforcing strict multiset rules. A
-    final self-loop or vertex outside 1..n, which only updates built in code
-    can hold, is refused too."""
-    edges = sorted((u, v, w) for (u, v), w in _live_edges(header, updates).items())
-    for u, v, _ in edges:  # u <= v
-        if u == v or u < 1 or v > header.n:
-            raise StreamError(
-                f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{header.n}")
+    """Replay updates to the final graph, enforcing strict multiset rules and
+    refusing a self-loop or a vertex outside 1..n, which only updates built
+    in code can hold."""
+    size = header.n + 1
+    edges = sorted(
+        (*divmod(key, size), w) for key, w in _live_edges(header, updates).items()
+    )
     return GraphSnapshot(header.n, tuple(edges))
 
 
 def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
-    """Live edges after the updates, pair -> weight; strict multiset rules."""
-    present: dict[tuple[int, int], float] = {}
+    """Live edges after the updates, keyed by ``u*(n+1)+v`` with u < v and
+    mapped to the weight; strict multiset rules. Each update's pair is
+    checked before it is packed, so that no bad id can alias another pair."""
+    n = header.n
+    size = n + 1
+    present: dict[int, float] = {}
     for op, u, v, w in updates:
-        key = (u, v) if u < v else (v, u)
+        if u > v:
+            u, v = v, u
+        if u == v or u < 1 or v > n:
+            raise StreamError(f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{n}")
+        key = u * size + v
         if op == INSERT:
             if key in present:
-                raise StreamError(f"duplicate insert of edge {key}")
+                raise StreamError(f"duplicate insert of edge {(u, v)}")
             present[key] = w
         else:
             if header.model == INSERT_ONLY:
                 raise StreamError("delete in insert-only stream")
             if key not in present:
-                raise StreamError(f"delete of absent edge {key}")
+                raise StreamError(f"delete of absent edge {(u, v)}")
             if present[key] != w:
                 raise StreamError(
                     f"delete weight {w} != inserted weight {present[key]} "
-                    f"for edge {key}"
+                    f"for edge {(u, v)}"
                 )
             del present[key]
     return present

@@ -90,6 +90,18 @@ def test_exact_refuses_a_self_loop_or_a_vertex_outside_1_to_n():
 
 
 @pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+@pytest.mark.parametrize("top", [-1, 3])
+def test_update_refuses_a_top_level_outside_0_to_levels(kind, top):
+    est = make_estimator(kind, 4, 0.05, INSERT_ONLY, 2)
+    with pytest.raises(ParameterError, match="top level"):
+        est.update(INSERT, 1, 2, top)
+    with pytest.raises(StreamError):  # a bad edge is named before a bad top
+        est.update(INSERT, 1, 1, top)
+    est.update(INSERT, 4, 3, 2)
+    assert [e.value for e in est.finalize()] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
 def test_run_refuses_a_self_loop_built_without_the_parser(kind):
     header = StreamHeader(3, 4.0, INSERT_ONLY)
     with pytest.raises(StreamError):

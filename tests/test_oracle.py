@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmstream import (
     CapacityError,
@@ -10,6 +11,7 @@ from wmstream import (
     exact_mcm,
     exact_mwm,
 )
+from wmstream.oracle import MAX_ORACLE_EDGES, _mwm_search
 
 
 def snap(n, edges):
@@ -171,3 +173,52 @@ def test_arboricity_monotone_under_edge_removal():
         kept = rng.sample(edges, rng.randint(1, len(edges)))
         sub = arboricity(snap(n, [(u, v, 1) for u, v in kept]))
         assert sub <= full
+
+
+@st.composite
+def small_graphs(draw):
+    """Sorted simple graphs of at most the oracle cap, weights with ties or
+    arbitrary floats."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n))
+        .filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p))),
+        max_size=MAX_ORACLE_EDGES, unique=True))
+    weight = draw(st.sampled_from([
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.floats(1.0, 1024.0, allow_nan=False, allow_infinity=False),
+    ]))
+    return sorted((u, v, draw(weight)) for u, v in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_mwm_frontier_matches_the_branch_and_bound(edges):
+    result = exact_mwm(GraphSnapshot(10, tuple(edges)))
+    assert (result.value, result.witness) == _mwm_search(edges)
+
+
+def _two_layer():
+    return [(i, 100 + i) for i in range(1, 13)] + [(100 + i, 200 + i) for i in range(1, 13)]
+
+
+def _ladder():
+    # nine rungs and 15 rails; sorted, the rung ends 1..9 stay on the frontier
+    return ([(i, 100 + i) for i in range(1, 10)] + [(i, i + 1) for i in range(1, 9)]
+            + [(100 + i, 101 + i) for i in range(1, 8)])
+
+
+@pytest.mark.parametrize("shape", [_two_layer, _ladder])
+@pytest.mark.parametrize("seed", range(4))
+def test_mwm_on_wide_frontiers_at_the_cap_agrees_with_networkx(shape, seed):
+    rng = random.Random(seed)
+    weighted = [(u, v, rng.choice([1, 2, 3, rng.uniform(1, 16)])) for u, v in shape()]
+    assert len(weighted) == MAX_ORACLE_EDGES
+    g = nx.Graph()
+    g.add_weighted_edges_from(weighted)
+    nx_value = sum(g[u][v]["weight"] for u, v in nx.max_weight_matching(g))
+    graph = snap(300, weighted)
+    result = exact_mwm(graph)
+    assert result.value == pytest.approx(nx_value, rel=1e-12)
+    assert (result.value, result.witness) == _mwm_search(list(graph.edges))

@@ -120,6 +120,17 @@ def test_replay_refuses_a_self_loop_or_a_vertex_outside_1_to_n(u, v):
         replay(StreamHeader(3, 4.0, INSERT_ONLY), [StreamUpdate(INSERT, u, v, 2.0)])
 
 
+@pytest.mark.parametrize("updates", [
+    # packed as u*(n+1)+v, (0, 6) would alias (1, 2) and read as a duplicate
+    [StreamUpdate(INSERT, 1, 2, 2.0), StreamUpdate(INSERT, 0, 6, 2.0)],
+    # refused as it comes, not only if it survives to the final graph
+    [StreamUpdate(INSERT, 2, 4, 2.0), StreamUpdate(DELETE, 2, 4, 2.0)],
+])
+def test_replay_refuses_a_bad_pair_before_packing_it(updates):
+    with pytest.raises(StreamError, match="outside 1..3"):
+        replay(StreamHeader(3, 4.0, DYNAMIC), updates)
+
+
 def test_export_snapshot_round_trips():
     header, updates = parse_stream(
         "n 4 wmax 4 model dynamic\n+ 3 4 4\n+ 1 2 1\n- 3 4 4\n"
