@@ -8,17 +8,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
+import typing
 
 from . import generators, oracle, reduction, stream_io
-from .errors import (
-    InvariantError,
-    ParameterError,
-    ParseError,
-    WmStreamError,
-    exit_code_for,
-)
-from .estimators import ESTIMATORS, EXACT_OFFLINE, KINDS
+from .errors import InvariantError, ParseError, WmStreamError
+from .estimators import ESTIMATORS, EXACT_OFFLINE
 
 CSV_COLUMNS = [
     "config",
@@ -75,23 +69,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-# Each `gen` flag and suite key -> the GenConfig field it sets, in field order.
-_GEN_FIELDS = {
-    {"weight_dist": "weights", "dynamic_churn": "churn"}.get(f.name, f.name): f
-    for f in fields(generators.GenConfig)
-}
+# Each GenConfig field is a `gen` flag and a suite key of the same name.
+_GEN_TYPES = typing.get_type_hints(generators.GenConfig)
 _GEN_CHOICES = {
     "family": generators.FAMILIES,
     "weights": generators.WEIGHT_DISTS,
     "order": generators.ORDERS,
 }
-_TYPES = {"int": int, "float": float, "str": str}  # GenConfig's annotations are strings
 
 
 def cmd_gen(args) -> int:
-    config = generators.GenConfig(
-        **{f.name: getattr(args, key) for key, f in _GEN_FIELDS.items()}
-    )
+    config = generators.GenConfig(*[getattr(args, name) for name in generators.GenConfig._fields])
     header, updates = generators.generate(config)
     text = stream_io.serialize(header, updates)
     if args.out:
@@ -104,11 +92,10 @@ def cmd_gen(args) -> int:
 
 # --- eval suite -----------------------------------------------------------
 
-_SUITE_KEYS = set(_GEN_FIELDS) | {"epsilon", "delta", "estimator", "reps"}
+_SUITE_KEYS = set(generators.GenConfig._fields) | {"epsilon", "delta", "estimator", "reps"}
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(typing.NamedTuple):
     config: generators.GenConfig
     epsilon: float
     delta: float
@@ -118,11 +105,7 @@ class SuiteRow:
 def parse_suite(text: str | bytes) -> list[SuiteRow]:
     """Flat key=value blocks separated by blank lines; one block expands to
     ``reps`` rows with consecutive seeds."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"suite is not UTF-8: {exc}") from None
+    text = stream_io.decode_text(text, "suite")
     rows: list[SuiteRow] = []
     block: dict[str, str] = {}
 
@@ -141,13 +124,9 @@ def parse_suite(text: str | bytes) -> list[SuiteRow]:
         if "family" not in block or "estimator" not in block:
             raise ParseError("suite block needs at least family= and estimator=")
         estimator = block["estimator"]
-        if estimator not in KINDS:
+        if estimator not in ESTIMATORS:
             raise ParseError(f"unknown estimator {estimator!r}")
-        values = {
-            f.name: typed(key, _TYPES[f.type])
-            for key, f in _GEN_FIELDS.items()
-            if key in block
-        }
+        values = {key: typed(key, kind) for key, kind in _GEN_TYPES.items() if key in block}
         base_seed = values.pop("seed", 0)
         reps = typed("reps", int, "1")
         if reps < 1:
@@ -211,7 +190,7 @@ def run_suite_row(row: SuiteRow) -> dict:
             out["exit_code"] = 5
     except WmStreamError as exc:
         out["status"] = f"error:{type(exc).__name__}"
-        out["exit_code"] = exit_code_for(exc)
+        out["exit_code"] = exc.exit_code
     out["elapsed"] = time.perf_counter() - started
     return out
 
@@ -275,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--stream", required=True)
     p_est.add_argument("--epsilon", type=float, required=True)
     p_est.add_argument("--delta", type=float, default=0.1)
-    p_est.add_argument("--estimator", choices=KINDS, default=EXACT_OFFLINE)
+    p_est.add_argument("--estimator", choices=ESTIMATORS, default=EXACT_OFFLINE)
     p_est.add_argument("--verify", action="store_true",
                        help="also run the exact oracle and check the sandwich")
     p_est.add_argument("--out")
@@ -287,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible stream")
-    for key, f in _GEN_FIELDS.items():
-        kw = {"required": True} if f.default is MISSING else {"default": f.default}
-        p_gen.add_argument(f"--{key}", type=_TYPES[f.type],
-                           choices=_GEN_CHOICES.get(key), **kw)
+    defaults = generators.GenConfig._field_defaults
+    for name, kind in _GEN_TYPES.items():
+        kw = {"default": defaults[name]} if name in defaults else {"required": True}
+        p_gen.add_argument(f"--{name}", type=kind, choices=_GEN_CHOICES.get(name), **kw)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -310,7 +289,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except WmStreamError as exc:
         sys.stderr.write(f"wmstream: {exc}\n")
-        return exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"wmstream: {exc}\n")
         return 1

@@ -1,16 +1,22 @@
 """Exception taxonomy shared by all modules.
 
-Exit codes used by the CLI: parse/parameter errors map to 2, capability
-errors to 3, capacity errors to 4, invariant failures to 5.
+Each class carries the CLI exit code for its errors in ``exit_code``: 1 for
+the base class, 2 for parse, parameter and stream errors, 3 for capability
+errors, 4 for capacity errors and 5 for invariant failures. A subclass
+inherits its base's code.
 """
 
 
 class WmStreamError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class ParameterError(WmStreamError):
     """A parameter is non-finite, out of range, or otherwise invalid."""
+
+    exit_code = 2
 
 
 class WeightRangeError(ParameterError):
@@ -19,6 +25,8 @@ class WeightRangeError(ParameterError):
 
 class ParseError(WmStreamError):
     """A stream file is malformed; carries the offending line number."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -31,31 +39,22 @@ class StreamError(WmStreamError):
     """A multiset violation: duplicate insert, delete of an
     absent edge, or delete whose weight differs from the insert."""
 
+    exit_code = 2
+
 
 class CapabilityError(WmStreamError):
     """An estimator was asked to do something it does not support."""
+
+    exit_code = 3
 
 
 class CapacityError(WmStreamError):
     """An instance exceeds the exhaustive oracle's size caps."""
 
+    exit_code = 4
+
 
 class InvariantError(WmStreamError):
     """A checked invariant failed on actual data."""
 
-
-EXIT_CODES = {
-    ParseError: 2,
-    ParameterError: 2,
-    StreamError: 2,
-    CapabilityError: 3,
-    CapacityError: 4,
-    InvariantError: 5,
-}
-
-
-def exit_code_for(exc: BaseException) -> int:
-    for cls in type(exc).__mro__:
-        if cls in EXIT_CODES:
-            return EXIT_CODES[cls]
-    return 1
+    exit_code = 5

@@ -15,7 +15,7 @@ the surviving edge set and asking the oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapabilityError, ParameterError, StreamError, WmStreamError
 from .oracle import exact_mcm
@@ -25,8 +25,7 @@ EXACT_OFFLINE = "exact"
 GREEDY = "greedy"
 
 
-@dataclass(frozen=True)
-class McmEstimate:
+class McmEstimate(NamedTuple):
     value: float
     words_stored: int
 
@@ -156,7 +155,6 @@ class ExactOfflineEstimator:
 
 # Estimator name -> class; adding an estimator means adding one entry here.
 ESTIMATORS = {EXACT_OFFLINE: ExactOfflineEstimator, GREEDY: GreedyEstimator}
-KINDS = tuple(ESTIMATORS)
 
 
 def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: int = 0):

@@ -3,9 +3,9 @@ stream ordering, and dynamic-stream churn."""
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
 from .stream_io import (
@@ -22,19 +22,18 @@ WEIGHT_DISTS = ("uniform-int", "powerlaw", "constant")
 ORDERS = ("as-generated", "shuffled", "heavy-first", "light-first")
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     family: str
     n: int = 0
     rows: int = 0
     cols: int = 0
     nu: int = 1
     p: float = 0.0
-    weight_dist: str = "uniform-int"
+    weights: str = "uniform-int"
     wmax: float = 8.0
     alpha: float = 2.0
     order: str = "as-generated"
-    dynamic_churn: float = 0.0
+    churn: float = 0.0
     seed: int = 0
 
     def summary(self) -> str:
@@ -45,16 +44,16 @@ class GenConfig:
         else:
             shape = f"n={self.n},nu={self.nu}"
         return (
-            f"{self.family}({shape},w={self.weight_dist}:{self.wmax},"
-            f"order={self.order},churn={self.dynamic_churn},seed={self.seed})"
+            f"{self.family}({shape},w={self.weights}:{self.wmax},"
+            f"order={self.order},churn={self.churn},seed={self.seed})"
         )
 
 
 def _validate(config: GenConfig) -> None:
     if config.family not in FAMILIES:
         raise ParameterError(f"unknown family {config.family!r}")
-    if config.weight_dist not in WEIGHT_DISTS:
-        raise ParameterError(f"unknown weight distribution {config.weight_dist!r}")
+    if config.weights not in WEIGHT_DISTS:
+        raise ParameterError(f"unknown weight distribution {config.weights!r}")
     if config.order not in ORDERS:
         raise ParameterError(f"unknown order {config.order!r}")
     if config.family == "grid":
@@ -66,10 +65,12 @@ def _validate(config: GenConfig) -> None:
         raise ParameterError(f"nu must be >= 1, got {config.nu}")
     if config.family == "erdos-renyi" and not (0.0 <= config.p <= 1.0):
         raise ParameterError(f"p must be in [0, 1], got {config.p}")
-    if config.wmax < 1.0:
-        raise ParameterError(f"wmax must be >= 1, got {config.wmax}")
-    if not (0.0 <= config.dynamic_churn <= 1.0):
-        raise ParameterError(f"churn must be in [0, 1], got {config.dynamic_churn}")
+    if not (math.isfinite(config.wmax) and config.wmax >= 1.0):
+        raise ParameterError(f"wmax must be finite and >= 1, got {config.wmax}")
+    if not (math.isfinite(config.alpha) and config.alpha > 0.0):
+        raise ParameterError(f"alpha must be finite and > 0, got {config.alpha}")
+    if not (0.0 <= config.churn <= 1.0):
+        raise ParameterError(f"churn must be in [0, 1], got {config.churn}")
 
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -131,12 +132,16 @@ def _family_edges(config: GenConfig, rng: random.Random) -> tuple[int, list[tupl
 
 
 def _draw_weight(config: GenConfig, rng: random.Random) -> float:
-    if config.weight_dist == "constant":
+    if config.weights == "constant":
         return 1.0
-    if config.weight_dist == "uniform-int":
+    if config.weights == "uniform-int":
         return float(rng.randint(1, int(config.wmax)))
-    # powerlaw: Pareto(alpha) floored at 1 and capped at wmax
-    w = rng.paretovariate(config.alpha)
+    # powerlaw: Pareto(alpha) floored at 1 and capped at wmax; a small alpha
+    # can draw a value beyond the float range, which the cap also covers
+    try:
+        w = rng.paretovariate(config.alpha)
+    except OverflowError:
+        return float(config.wmax)
     return min(float(config.wmax), max(1.0, w))
 
 
@@ -145,7 +150,7 @@ def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
     _validate(config)
     rng = random.Random(config.seed)
     n, pairs = _family_edges(config, rng)
-    wmax = 1.0 if config.weight_dist == "constant" else float(config.wmax)
+    wmax = 1.0 if config.weights == "constant" else float(config.wmax)
     updates = [
         StreamUpdate(INSERT, u, v, _draw_weight(config, rng)) for u, v in pairs
     ]
@@ -158,8 +163,8 @@ def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
         updates.sort(key=lambda upd: (upd[3], upd[1], upd[2]))  # (w, u, v)
 
     header = StreamHeader(n, wmax, INSERT_ONLY)
-    if config.dynamic_churn > 0.0:
-        return dynamify(header, updates, config.dynamic_churn, config.seed + 1)
+    if config.churn > 0.0:
+        return dynamify(header, updates, config.churn, config.seed + 1)
     return header, updates
 
 

@@ -18,8 +18,8 @@ and both return the lexicographically smallest optimal witness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .stream_io import GraphSnapshot
@@ -28,8 +28,7 @@ MAX_ORACLE_EDGES = 24
 MAX_ARBORICITY_VERTICES = 12
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: float
     witness: tuple[tuple[int, int, float], ...]
 

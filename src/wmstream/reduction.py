@@ -16,8 +16,7 @@ and the final estimate is a[0].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
 from .estimators import ESTIMATORS, make_estimator
@@ -26,8 +25,7 @@ from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate
 
 
-@dataclass(frozen=True)
-class LevelState:
+class LevelState(NamedTuple):
     level: int
     s_hat: float
     m_hat: float
@@ -36,8 +34,7 @@ class LevelState:
     a: float
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     schedule: LevelSchedule
     levels: tuple[LevelState, ...]  # ordered top level down to 0
     estimate: float

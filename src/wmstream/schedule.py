@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, WeightRangeError
 
 
-@dataclass(frozen=True)
-class LevelSchedule:
+class LevelSchedule(NamedTuple):
     """Immutable bucketing parameters shared by one run.
 
     ``thresholds[i] == (1+epsilon)**i`` computed by repeated multiplication,

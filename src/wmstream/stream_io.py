@@ -9,7 +9,6 @@ Format (UTF-8, LF):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, StreamError
@@ -24,8 +23,7 @@ _OP_CHARS = {"+": INSERT, "-": DELETE}
 _OP_TO_CHAR = {INSERT: "+", DELETE: "-"}
 
 
-@dataclass(frozen=True)
-class StreamHeader:
+class StreamHeader(NamedTuple):
     n: int
     wmax: float
     model: str
@@ -40,8 +38,7 @@ class StreamUpdate(NamedTuple):
     w: float
 
 
-@dataclass(frozen=True)
-class GraphSnapshot:
+class GraphSnapshot(NamedTuple):
     """A materialized simple graph: edges are (u, v, w) with u < v."""
 
     n: int
@@ -52,17 +49,22 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def decode_text(text: str | bytes, what: str) -> str:
+    """``text`` as a str; bytes must be UTF-8, or a ParseError names ``what``."""
+    if isinstance(text, bytes):
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not UTF-8: {exc}") from None
+    return text
+
+
 def parse_stream(text: str | bytes):
     """Parse a stream file into (header, updates), checking each update line
     against the header as it is read, then the multiset rules: no duplicate
     inserts, deletes of absent edges, or deletes whose weight differs from
     the matching insert."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"stream is not UTF-8: {exc}") from None
-
+    text = decode_text(text, "stream")
     header = None
     updates: list[StreamUpdate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -32,7 +32,7 @@ def corpus_configs():
                         family="forest-union",
                         n=n,
                         nu=nu,
-                        weight_dist="uniform-int",
+                        weights="uniform-int",
                         wmax=64.0,
                         order="shuffled",
                         seed=1000 * nu + 100 * n + seed,
@@ -45,7 +45,7 @@ def corpus_configs():
                     family="grid",
                     rows=rows,
                     cols=cols,
-                    weight_dist="uniform-int",
+                    weights="uniform-int",
                     wmax=64.0,
                     order="shuffled",
                     seed=7000 + 100 * rows + 10 * cols + seed,
@@ -59,7 +59,7 @@ def corpus_configs():
                         family="erdos-renyi",
                         n=n,
                         p=p,
-                        weight_dist="uniform-int",
+                        weights="uniform-int",
                         wmax=64.0,
                         order="shuffled",
                         seed=9000 + 100 * n + seed,

@@ -194,7 +194,7 @@ def test_criterion_7_generator_soundness():
         nu = 1 + i % 3
         n = rng.randint(4, 12)
         config = GenConfig(
-            family="forest-union", n=n, nu=nu, weight_dist="constant",
+            family="forest-union", n=n, nu=nu, weights="constant",
             seed=5000 + i,
         )
         header, updates = generate(config)

@@ -243,6 +243,17 @@ def test_eval_greedy_on_dynamic_row_errors(tmp_path):
     assert "error:CapabilityError" in out.read_text()
 
 
+def test_eval_marks_a_bad_generator_row_and_keeps_the_good_one(tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n\n"
+                     "family=grid\nrows=2\ncols=2\nwmax=nan\nestimator=exact\n")
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 2
+    good, bad = csv.DictReader(line for line in out.read_text().splitlines()
+                               if not line.startswith("#"))
+    assert (good["status"], bad["status"]) == ("ok", "error:ParameterError")
+
+
 def test_eval_row_where_optimal_matching_misses_the_top_level_is_ok(tmp_path):
     # b = 1 on the levels that only the weight-62 edge reaches, while the
     # optimal weighted matching takes the edges of weight 51 and 43
@@ -289,9 +300,12 @@ def test_eval_rows_respect_guarantee_bound():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only eval --jobs > 1 needs the process pool; every other command skips it
-    code = "import sys, wmstream.cli; print('multiprocessing' in sys.modules)"
+    # only eval --jobs > 1 needs the process pool; every other command skips
+    # it. The records are NamedTuples, so dataclasses and the inspect module
+    # it imports stay unloaded too.
+    code = ("import sys, wmstream.cli; "
+            "print([m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(wmstream.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -23,7 +23,7 @@ def unit_snapshot(header, updates):
 
 
 def test_single_forest_is_a_forest():
-    config = GenConfig(family="forest-union", n=8, nu=1, weight_dist="constant", seed=2)
+    config = GenConfig(family="forest-union", n=8, nu=1, weights="constant", seed=2)
     header, updates = generate(config)
     assert len(updates) <= 7
     assert arboricity(unit_snapshot(header, updates)) <= 1
@@ -32,13 +32,13 @@ def test_single_forest_is_a_forest():
 @pytest.mark.parametrize("nu", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(5))
 def test_forest_union_respects_arboricity_bound(nu, seed):
-    config = GenConfig(family="forest-union", n=9, nu=nu, weight_dist="constant", seed=seed)
+    config = GenConfig(family="forest-union", n=9, nu=nu, weights="constant", seed=seed)
     header, updates = generate(config)
     assert arboricity(unit_snapshot(header, updates)) <= nu
 
 
 def test_grid_3x3_shape_and_arboricity():
-    config = GenConfig(family="grid", rows=3, cols=3, weight_dist="constant", seed=0)
+    config = GenConfig(family="grid", rows=3, cols=3, weights="constant", seed=0)
     header, updates = generate(config)
     assert header.n == 9
     assert len(updates) == 12
@@ -53,7 +53,7 @@ def test_erdos_renyi_p_zero_is_empty():
 
 
 def test_erdos_renyi_p_one_is_complete():
-    config = GenConfig(family="erdos-renyi", n=5, p=1.0, weight_dist="constant", seed=1)
+    config = GenConfig(family="erdos-renyi", n=5, p=1.0, weights="constant", seed=1)
     _, updates = generate(config)
     assert len(updates) == 10
 
@@ -61,7 +61,7 @@ def test_erdos_renyi_p_one_is_complete():
 def test_weight_distributions_respect_bounds():
     for dist, wmax in (("uniform-int", 16.0), ("powerlaw", 16.0), ("constant", 1.0)):
         config = GenConfig(
-            family="erdos-renyi", n=8, p=0.6, weight_dist=dist, wmax=16.0, seed=5
+            family="erdos-renyi", n=8, p=0.6, weights=dist, wmax=16.0, seed=5
         )
         header, updates = generate(config)
         assert header.wmax == wmax
@@ -71,14 +71,12 @@ def test_weight_distributions_respect_bounds():
 
 def test_orderings():
     base = GenConfig(
-        family="erdos-renyi", n=8, p=0.6, weight_dist="uniform-int", wmax=32.0, seed=9
+        family="erdos-renyi", n=8, p=0.6, weights="uniform-int", wmax=32.0, seed=9
     )
-    from dataclasses import replace
-
     _, as_gen = generate(base)
-    _, heavy = generate(replace(base, order="heavy-first"))
-    _, light = generate(replace(base, order="light-first"))
-    _, shuffled = generate(replace(base, order="shuffled"))
+    _, heavy = generate(base._replace(order="heavy-first"))
+    _, light = generate(base._replace(order="light-first"))
+    _, shuffled = generate(base._replace(order="shuffled"))
     assert [u.w for u in heavy] == sorted((u.w for u in heavy), reverse=True)
     assert [u.w for u in light] == sorted(u.w for u in light)
     key = lambda upd: (upd.u, upd.v, upd.w)
@@ -101,6 +99,18 @@ def test_generate_rejects_bad_config():
         generate(GenConfig(family="erdos-renyi", n=5, p=1.5))
     with pytest.raises(ParameterError):
         generate(GenConfig(family="forest-union", n=0))
+    for bad in ({"wmax": float("inf")}, {"wmax": float("nan")},
+                {"weights": "powerlaw", "alpha": 0.0}, {"weights": "powerlaw", "alpha": -1.0},
+                {"weights": "powerlaw", "alpha": float("inf")}):
+        with pytest.raises(ParameterError):
+            generate(GenConfig(family="grid", rows=2, cols=2, **bad))
+
+
+def test_powerlaw_draw_beyond_float_range_is_capped_at_wmax():
+    header, updates = generate(
+        GenConfig(family="grid", rows=4, cols=4, weights="powerlaw", alpha=1e-300, wmax=16.0)
+    )
+    assert [upd.w for upd in updates] == [header.wmax] * 24
 
 
 def test_dynamify_zero_churn_is_identity():
@@ -126,7 +136,7 @@ def test_dynamify_full_churn_triples_two_edge_stream():
 @pytest.mark.parametrize("seed", range(5))
 def test_dynamify_preserves_final_snapshot(churn, seed):
     config = GenConfig(
-        family="erdos-renyi", n=8, p=0.4, weight_dist="uniform-int", wmax=16.0,
+        family="erdos-renyi", n=8, p=0.4, weights="uniform-int", wmax=16.0,
         order="shuffled", seed=seed,
     )
     header, updates = generate(config)
@@ -140,7 +150,7 @@ def test_dynamify_matches_the_list_search_reference(churn):
         for seed in range(4):
             config = GenConfig(
                 family=family, n=12, nu=2, rows=3, cols=5, p=0.3,
-                weight_dist="uniform-int", wmax=16.0, order="shuffled", seed=seed,
+                weights="uniform-int", wmax=16.0, order="shuffled", seed=seed,
             )
             header, updates = generate(config)
             assert dynamify(header, updates, churn, seed) == dynamify_reference(

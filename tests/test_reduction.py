@@ -25,7 +25,6 @@ from wmstream import (
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 from wmstream.reduction import LevelState
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
-from dataclasses import replace
 
 from helpers import combined_report
 
@@ -135,8 +134,7 @@ def test_check_lemma1_accepts_and_rejects():
     report = combined_report(schedule, [2.0, 1.0, 1.0])
     assert check_lemma1(report)
     assert check_lemma1(combined_report(schedule, [0.0, 0.0, 0.0]))
-    forged = replace(
-        report,
+    forged = report._replace(
         levels=(
             report.levels[0],
             LevelState(1, 3.0, 3.0, 0, 0, 4.0),
@@ -150,11 +148,10 @@ def test_check_observations_accepts_and_rejects():
     schedule = build_schedule(1.0, 4.0)
     report = combined_report(schedule, [2.0, 1.0, 1.0])
     assert check_observations(report)
-    tampered = replace(
-        report,
+    tampered = report._replace(
         levels=(
             report.levels[0],
-            replace(report.levels[1], a=report.levels[1].a + 1.0),
+            report.levels[1]._replace(a=report.levels[1].a + 1.0),
             report.levels[2],
         ),
     )
@@ -196,7 +193,7 @@ def test_check_lemma2_refuses_a_graph_over_the_oracle_cap():
 # weight 62 alone gives b = 1 on the levels with thresholds in (51, 62], while
 # the optimal weighted matching is {(1, 6, 51), (2, 4, 43)}.
 HEAVY_EDGE_ALONE = GenConfig(family="forest-union", n=6, nu=1,
-                             weight_dist="uniform-int", wmax=64.0,
+                             weights="uniform-int", wmax=64.0,
                              order="shuffled", seed=1606)
 
 
@@ -227,11 +224,11 @@ def _raise_delta(report, level):
     that check_observations still holds."""
     extra = report.schedule.thresholds[level]
     levels = tuple(
-        replace(st, delta_count=st.delta_count + (st.level == level),
-                b=st.b + 1, a=st.a + extra) if st.level <= level else st
+        st._replace(delta_count=st.delta_count + (st.level == level),
+                    b=st.b + 1, a=st.a + extra) if st.level <= level else st
         for st in report.levels
     )
-    return replace(report, levels=levels, estimate=levels[-1].a)
+    return report._replace(levels=levels, estimate=levels[-1].a)
 
 
 def test_check_lemma2_rejects_counts_no_single_matching_realises():
@@ -250,14 +247,14 @@ def test_check_lemma2_rejects_counts_no_single_matching_realises():
     assert check_lemma1(tampered)
     assert not check_lemma2(tampered, snapshot, weights)
     # b or the estimate raised alone, beyond what the deltas' matching gives
-    forged_b = replace(report, levels=report.levels[:-1]
-                       + (replace(report.levels[-1], b=report.levels[-1].b + 1),))
+    forged_b = report._replace(levels=report.levels[:-1]
+                               + (report.levels[-1]._replace(b=report.levels[-1].b + 1),))
     assert not check_lemma2(forged_b, snapshot, weights)
-    forged_estimate = replace(report, estimate=report.estimate + 10.0)
+    forged_estimate = report._replace(estimate=report.estimate + 10.0)
     assert not check_lemma2(forged_estimate, snapshot, weights)
     # a delta the top level's one edge cannot supply, with b left as it was
-    forged_delta = replace(report, levels=tuple(
-        replace(st, delta_count=st.delta_count + 1) if st is top else st
+    forged_delta = report._replace(levels=tuple(
+        st._replace(delta_count=st.delta_count + 1) if st is top else st
         for st in report.levels
     ))
     assert not check_lemma2(forged_delta, snapshot, weights)
@@ -353,7 +350,7 @@ def test_greedy_estimator_tracks_space_per_level():
 def _sandwich(estimate, mwm, kind=EXACT_OFFLINE, epsilon=0.5):
     schedule = build_schedule(epsilon, 4.0)
     report = combined_report(schedule, [0.0] * (schedule.levels + 1), kind)
-    return check_sandwich(replace(report, estimate=estimate), mwm)
+    return check_sandwich(report._replace(estimate=estimate), mwm)
 
 
 def test_check_sandwich_both_zero_is_ok():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmstream import ParameterError, WeightRangeError, build_schedule, top_level
-from wmstream.errors import exit_code_for
 
 
 def test_power_of_two_levels():
@@ -54,7 +53,7 @@ def test_top_level_rejects_out_of_range():
         top_level(s, 0.5)
     with pytest.raises(WeightRangeError) as excinfo:
         top_level(s, 4.001)
-    assert exit_code_for(excinfo.value) == 2  # through its base, ParameterError
+    assert excinfo.value.exit_code == 2  # through its base, ParameterError
 
 
 @given(

@@ -34,7 +34,7 @@ def test_records_unpack_as_plain_tuples():
         (INSERT, 1, 2, 3.0),
         (DELETE, 2, 1, 3.0),
     ]
-    config = GenConfig(family="grid", rows=2, cols=2, order="heavy-first", dynamic_churn=0.5)
+    config = GenConfig(family="grid", rows=2, cols=2, order="heavy-first", churn=0.5)
     _, generated = generate(config)
     for upd in generated:
         op, u, v, w = upd
