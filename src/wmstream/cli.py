@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 import typing
@@ -36,6 +37,15 @@ def _read_stream(path: str):
         return stream_io.parse_stream(fh.read())
 
 
+def _write(text: str, path: str | None = None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_estimate(args) -> int:
     header, updates = _read_stream(args.stream)
     report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
@@ -46,12 +56,7 @@ def cmd_estimate(args) -> int:
         _, bound, ok = reduction.check_sandwich(report, result.value)
         payload.update(oracle_mwm=result.value, bound=bound, sandwich_ok=ok)
 
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     if args.verify and not payload["sandwich_ok"]:
         raise InvariantError("approximation sandwich violated")
     return 0
@@ -65,7 +70,7 @@ def cmd_oracle(args) -> int:
     else:
         result = (oracle.exact_mwm if args.mode == "mwm" else oracle.exact_mcm)(snapshot)
         payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -80,13 +85,7 @@ _GEN_CHOICES = {
 
 def cmd_gen(args) -> int:
     config = generators.GenConfig(*[getattr(args, name) for name in generators.GenConfig._fields])
-    header, updates = generators.generate(config)
-    text = stream_io.serialize(header, updates)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(stream_io.serialize(*generators.generate(config)), args.out)
     return 0
 
 
@@ -217,21 +216,18 @@ def cmd_eval(args) -> int:
     with open(args.suite, "rb") as fh:
         rows = parse_suite(fh.read())
 
-    if args.jobs > 1 and rows:
+    # the pool forks every worker at its first submit: no more than rows or CPUs
+    workers = min(args.jobs, len(rows), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: multiprocessing would add start-up time to every command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_suite_row, rows))
     else:
         results = [run_suite_row(row) for row in rows]
 
-    text = render_suite_csv(results)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render_suite_csv(results), args.out)
 
     for res in results:
         if res["exit_code"] != 0:

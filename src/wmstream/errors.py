@@ -49,7 +49,8 @@ class CapabilityError(WmStreamError):
 
 
 class CapacityError(WmStreamError):
-    """An instance exceeds the exhaustive oracle's size caps."""
+    """An instance exceeds a size cap: the exhaustive oracle's, or a vertex
+    count ``n`` too large for the greedy estimator's per-vertex list."""
 
     exit_code = 4
 

@@ -10,14 +10,14 @@ estimator class declares its factor ``LAM`` and whether it accepts deletes
 (``SUPPORTS_DELETES``), and is registered by name in ``ESTIMATORS``. Two
 deterministic references ship here: a streaming greedy maximal matching
 (insert-only) and an exact-offline estimator (handles deletes by retaining
-the surviving edge set and asking the oracle).
+the live edge set of the simple graph and asking the oracle).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CapabilityError, ParameterError, StreamError, WmStreamError
+from .errors import CapabilityError, CapacityError, ParameterError, StreamError, WmStreamError
 from .oracle import exact_mcm
 from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot
 
@@ -43,7 +43,10 @@ class GreedyEstimator:
     def __init__(self, n: int, levels: int):
         self.n = n
         self.levels = levels
-        self._mask = [0] * (n + 1)
+        try:
+            self._mask = [0] * (n + 1)
+        except (MemoryError, OverflowError):  # raised before anything is allocated
+            raise CapacityError(f"n = {n} is too large for the greedy estimator") from None
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if op == DELETE:
@@ -96,11 +99,12 @@ def _bit_counts(masks, width: int) -> list[int]:
 
 
 class ExactOfflineEstimator:
-    """Retains the surviving edge multiset, each pair with the top level it
-    reaches, and computes each level's exact MCM at finalize via the oracle.
-    Exact, but deliberately not sublinear in space; the words counter (per
-    level, the peak number of distinct live pairs) makes that visible. All
-    copies of a live pair must carry the same top level."""
+    """Retains the live edge set, each pair with its top level, and computes
+    each level's exact MCM at finalize via the oracle: exact, not sublinear;
+    the words counter (per level, the peak number of live pairs) shows it.
+    Like ``replay``, it refuses an insert of a live pair, a delete of an
+    absent one and a delete at another top level. It cannot see a delete's
+    weight or the stream model, which ``replay`` and the parser check."""
 
     LAM = 1.0
     SUPPORTS_DELETES = True
@@ -108,7 +112,7 @@ class ExactOfflineEstimator:
     def __init__(self, n: int, levels: int):
         self.n = n
         self.levels = levels
-        self._edges: dict[tuple[int, int], list[int]] = {}  # pair -> [multiplicity, top]
+        self._edges: dict[tuple[int, int], int] = {}  # live pair -> top level
         self._live = [0] * (levels + 1)
         self._peak = [0] * (levels + 1)
 
@@ -116,31 +120,28 @@ class ExactOfflineEstimator:
         if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
             raise _refusal(self, u, v, top)
         key = (u, v) if u < v else (v, u)
-        entry = self._edges.get(key)
-        if entry is not None and entry[1] != top:
-            raise StreamError(f"edge {key} at top level {top}, live at {entry[1]}")
         live = self._live
         if op == INSERT:
-            if entry is not None:
-                entry[0] += 1
-                return
-            self._edges[key] = [1, top]
+            if key in self._edges:
+                raise StreamError(f"duplicate insert of edge {key}")
+            self._edges[key] = top
             peak = self._peak
             for i in range(top + 1):
                 live[i] += 1
                 if live[i] > peak[i]:
                     peak[i] = live[i]
-        elif entry is None:
+            return
+        at = self._edges.get(key)
+        if at is None:
             raise StreamError(f"delete of absent edge {key}")
-        elif entry[0] > 1:
-            entry[0] -= 1
-        else:
-            del self._edges[key]
-            for i in range(top + 1):
-                live[i] -= 1
+        if at != top:
+            raise StreamError(f"edge {key} at top level {top}, live at {at}")
+        del self._edges[key]
+        for i in range(top + 1):
+            live[i] -= 1
 
     def finalize(self) -> list[McmEstimate]:
-        pairs = sorted((pair, top) for pair, (_, top) in self._edges.items())
+        pairs = sorted(self._edges.items())
         out = []
         size = None
         for i, peak in enumerate(self._peak):

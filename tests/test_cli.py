@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wmstream
-from wmstream import GenConfig, ParseError, generate, serialize
+from wmstream import CapacityError, GenConfig, ParseError, generate, make_estimator, serialize
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -99,6 +100,17 @@ def test_oracle_capacity_exit_code(tmp_path):
     path = tmp_path / "big.stream"
     path.write_text("\n".join(lines) + "\n")
     assert main(["oracle", "--stream", str(path), "--mode", "mwm"]) == 4
+
+
+@pytest.mark.parametrize("n", [2**62, 2**64])
+def test_greedy_on_a_vertex_count_it_cannot_allocate_exits_4(tmp_path, n):
+    # both sizes fail in the list allocation's size check, before any memory is taken
+    with pytest.raises(CapacityError):
+        make_estimator("greedy", n, 0.05, "insert-only")
+    path = tmp_path / "huge.stream"
+    path.write_text(f"n {n} wmax 4 model insert-only\n+ 1 2 1\n")
+    assert main(["estimate", "--stream", str(path), "--epsilon", "1",
+                 "--estimator", "greedy"]) == 4
 
 
 def test_gen_writes_parseable_stream(tmp_path, capsys):
@@ -286,6 +298,30 @@ def test_eval_parallel_matches_serial(tmp_path):
     assert main(["eval", "--suite", str(suite), "--out", str(a)]) == 0
     assert main(["eval", "--suite", str(suite), "--out", str(b), "--jobs", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_eval_asks_the_pool_for_no_more_workers_than_rows(tmp_path, monkeypatch):
+    asked = []
+
+    class RecordingPool:  # stands in for the process pool, so no process starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows):
+            return map(fn, rows)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\nreps=2\n")
+    assert main(["eval", "--suite", str(suite), "--out", str(tmp_path / "rows.csv"),
+                 "--jobs", "64"]) == 0
+    assert asked in ([], [2])
 
 
 def test_eval_rows_respect_guarantee_bound():

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from wmstream import (
     estimators,
     exact_mcm,
     make_estimator,
+    replay,
     run,
     top_level,
 )
@@ -242,25 +244,20 @@ def test_estimators_deterministic():
 
 def _weighted_stream(rng, schedule, n, length, deletes):
     """(op, u, v, w) updates on at most n vertices. Weights mix exact
-    thresholds, integers and floats in [1, wmax]. Every copy of a live pair
-    carries that pair's weight; with ``deletes``, live pairs are deleted and
-    pairs are inserted again while live."""
-    live: dict[tuple[int, int], list] = {}  # pair -> [copies, w]
+    thresholds, integers and floats in [1, wmax]. With ``deletes``, the
+    stream is a simple graph: live pairs are deleted with their weight, and
+    a pair drawn again while live is deleted instead of inserted."""
+    live: dict[tuple[int, int], float] = {}  # pair -> w
     out = []
     for _ in range(length):
         if deletes and live and rng.random() < 0.35:
             pair = rng.choice(sorted(live))
-            entry = live[pair]
-            out.append((DELETE, *pair, entry[1]))
-            entry[0] -= 1
-            if entry[0] == 0:
-                del live[pair]
+            out.append((DELETE, *pair, live.pop(pair)))
             continue
         u, v = rng.sample(range(1, n + 1), 2)
         pair = (min(u, v), max(u, v))
-        if pair in live:  # a repeated insert of a live pair keeps its weight
-            live[pair][0] += 1
-            out.append((INSERT, u, v, live[pair][1]))
+        if pair in live:
+            out.append((DELETE, u, v, live.pop(pair)))
             continue
         kind = rng.randrange(3)
         if kind == 0:
@@ -270,7 +267,7 @@ def _weighted_stream(rng, schedule, n, length, deletes):
         else:
             w = rng.uniform(1.0, schedule.wmax)
         if deletes:
-            live[pair] = [1, w]
+            live[pair] = w
         out.append((INSERT, u, v, w))
     return out
 
@@ -306,9 +303,9 @@ def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
 def test_nested_exact_with_repeated_inserts_and_deletes_of_one_pair():
     schedule = build_schedule(0.5, 16.0)
     w = 5.0  # levels 0..3; 16.0 reaches 0..6, and no weight reaches level 7
-    stream = [(INSERT, 1, 2, w), (INSERT, 2, 1, w), (INSERT, 3, 4, 1.0),
-              (DELETE, 1, 2, w), (DELETE, 3, 4, 1.0), (INSERT, 1, 2, w),
-              (DELETE, 2, 1, w), (DELETE, 1, 2, w), (INSERT, 1, 2, 16.0)]
+    stream = [(INSERT, 1, 2, w), (INSERT, 3, 4, 1.0), (DELETE, 2, 1, w),
+              (DELETE, 3, 4, 1.0), (INSERT, 2, 1, w), (DELETE, 1, 2, w),
+              (INSERT, 1, 2, 16.0)]
     got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 4, stream)
     assert got == want
     assert [words for _, words in got] == [2, 1, 1, 1, 1, 1, 1, 0]
@@ -325,6 +322,22 @@ def test_nested_exact_refuses_a_live_pair_at_another_top_level():
     est.update(DELETE, 1, 2, 2)
     est.update(INSERT, 1, 2, 3)  # gone, so it may come back at another level
     assert [e.value for e in est.finalize()] == [1.0] * 4
+
+
+@pytest.mark.parametrize("stream,message", [
+    ([(INSERT, 1, 2, 3.0), (INSERT, 2, 1, 3.0)], "duplicate insert of edge (1, 2)"),
+    ([(INSERT, 1, 2, 3.0), (DELETE, 3, 1, 3.0)], "delete of absent edge (1, 3)"),
+], ids=["duplicate-insert", "absent-delete"])
+def test_exact_and_replay_refuse_what_a_simple_graph_cannot_hold(stream, message):
+    updates = [StreamUpdate(*upd) for upd in stream]
+    with pytest.raises(StreamError, match=re.escape(message)):
+        replay(StreamHeader(4, 4.0, DYNAMIC), updates)
+    est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC)
+    for op, u, v, _ in updates[:-1]:
+        est.update(op, u, v)
+    op, u, v, _ = updates[-1]
+    with pytest.raises(StreamError, match=re.escape(message)):
+        est.update(op, u, v)
 
 
 def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
