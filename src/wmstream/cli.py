@@ -12,7 +12,7 @@ import time
 import typing
 
 from . import generators, oracle, reduction, stream_io
-from .errors import InvariantError, ParseError, WmStreamError
+from .errors import InvariantError, ParameterError, ParseError, WmStreamError
 from .estimators import ESTIMATORS, EXACT_OFFLINE
 
 CSV_COLUMNS = [
@@ -213,6 +213,8 @@ def render_suite_csv(results: list[dict]) -> str:
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     with open(args.suite, "rb") as fh:
         rows = parse_suite(fh.read())
 

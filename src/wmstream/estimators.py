@@ -2,19 +2,21 @@
 
 The contract: one estimator serves every level of a run. ``update(op, u, v,
 top)`` counts the unweighted edge on levels 0..top. It raises
-``StreamError`` for a self-loop or a vertex outside 1..n, and
-``ParameterError`` for a ``top`` outside 0..levels. ``finalize()`` returns
-one ``McmEstimate`` per level, indexed by level, whose ``value`` satisfies
-``value <= MCM <= LAM * value`` for that level's substream. Each
-estimator class declares its factor ``LAM`` and whether it accepts deletes
-(``SUPPORTS_DELETES``), and is registered by name in ``ESTIMATORS``. Two
-deterministic references ship here: a streaming greedy maximal matching
-(insert-only) and an exact-offline estimator (handles deletes by retaining
-the live edge set of the simple graph and asking the oracle).
+``StreamError`` for an op other than insert and delete, a self-loop or a
+vertex outside 1..n, and ``ParameterError`` for a ``top`` outside
+0..levels. ``finalize()`` returns one ``McmEstimate`` per level, indexed by
+level, whose ``value`` satisfies ``value <= MCM <= LAM * value`` for that
+level's substream. Each estimator class declares its factor ``LAM`` and
+whether it accepts deletes (``SUPPORTS_DELETES``), and is registered by
+name in ``ESTIMATORS``. Two deterministic references ship here: a
+streaming greedy maximal matching (insert-only) and an exact-offline
+estimator (handles deletes by retaining the live edge set of the simple
+graph and asking the oracle).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CapabilityError, CapacityError, ParameterError, StreamError, WmStreamError
@@ -49,8 +51,10 @@ class GreedyEstimator:
             raise CapacityError(f"n = {n} is too large for the greedy estimator") from None
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
-        if op == DELETE:
-            raise CapabilityError("greedy estimator cannot process deletes")
+        if op != INSERT:
+            if op == DELETE:
+                raise CapabilityError("greedy estimator cannot process deletes")
+            raise StreamError(f"unknown op {op!r}")
         # ids index the mask list; bit i of a mask is level i
         if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
             raise _refusal(self, u, v, top)
@@ -104,7 +108,17 @@ class ExactOfflineEstimator:
     the words counter (per level, the peak number of live pairs) shows it.
     Like ``replay``, it refuses an insert of a live pair, a delete of an
     absent one and a delete at another top level. It cannot see a delete's
-    weight or the stream model, which ``replay`` and the parser check."""
+    weight or the stream model, which ``replay`` and the parser check.
+
+    The peaks are packed counters: field i of the int ``_gap``, ``width``
+    bits wide, holds level i's peak minus its live count. That gap never
+    exceeds n(n-1)/2, so the top bit of each field stays clear; set as a
+    guard before a subtraction, it keeps a borrow inside its field. An
+    insert at ``top`` takes one from every positive field of levels 0..top
+    (a level at its peak raises its peak instead), and a delete adds one to
+    each; either is a few big-int operations, whatever ``levels`` is.
+    ``finalize`` adds back each level's live count, counted from the tops
+    of the retained pairs."""
 
     LAM = 1.0
     SUPPORTS_DELETES = True
@@ -113,44 +127,55 @@ class ExactOfflineEstimator:
         self.n = n
         self.levels = levels
         self._edges: dict[tuple[int, int], int] = {}  # live pair -> top level
-        self._live = [0] * (levels + 1)
-        self._peak = [0] * (levels + 1)
+        self._width = width = (n * (n - 1) // 2).bit_length() + 1
+        # a 1 in the low bit of each of the levels + 1 fields
+        self._ones = ((1 << width * (levels + 1)) - 1) // ((1 << width) - 1)
+        self._gap = 0
 
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
             raise _refusal(self, u, v, top)
         key = (u, v) if u < v else (v, u)
-        live = self._live
+        width = self._width
+        ones = self._ones >> (self.levels - top) * width  # levels 0..top
         if op == INSERT:
             if key in self._edges:
                 raise StreamError(f"duplicate insert of edge {key}")
             self._edges[key] = top
-            peak = self._peak
-            for i in range(top + 1):
-                live[i] += 1
-                if live[i] > peak[i]:
-                    peak[i] = live[i]
+            guards = ones << width - 1
+            gap = self._gap
+            # a field's guard survives taking one iff the field is positive
+            self._gap = gap - ((((gap | guards) - ones) & guards) >> width - 1)
             return
+        if op != DELETE:
+            raise StreamError(f"unknown op {op!r}")
         at = self._edges.get(key)
         if at is None:
             raise StreamError(f"delete of absent edge {key}")
         if at != top:
             raise StreamError(f"edge {key} at top level {top}, live at {at}")
         del self._edges[key]
-        for i in range(top + 1):
-            live[i] -= 1
+        self._gap += ones
 
     def finalize(self) -> list[McmEstimate]:
+        width = self._width
+        span = width * (self.levels + 1)
+        bits = format(self._gap, f"0{span}b")  # level i's field ends i fields from the right
+        tops = [0] * (self.levels + 1)
+        for top in self._edges.values():
+            tops[top] += 1
+        live = list(accumulate(reversed(tops)))[::-1]  # level i holds tops >= i
         pairs = sorted(self._edges.items())
         out = []
         size = None
-        for i, peak in enumerate(self._peak):
+        for i, count in enumerate(live):
             # nested levels of equal size hold the same edges, so ask once
-            if self._live[i] != size:
-                size = self._live[i]
+            if count != size:
+                size = count
                 level = tuple((u, v, 1.0) for (u, v), top in pairs if top >= i)
                 value = float(exact_mcm(GraphSnapshot(self.n, level)).value)
-            out.append(McmEstimate(value, peak))
+            gap = int(bits[span - (i + 1) * width : span - i * width], 2)
+            out.append(McmEstimate(value, count + gap))
         return out
 
 

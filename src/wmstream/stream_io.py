@@ -145,6 +145,8 @@ def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
             if key in present:
                 raise StreamError(f"duplicate insert of edge {(u, v)}")
             present[key] = w
+        elif op != DELETE:
+            raise StreamError(f"unknown op {op!r}")
         else:
             if header.model == INSERT_ONLY:
                 raise StreamError("delete in insert-only stream")

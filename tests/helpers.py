@@ -109,22 +109,24 @@ def greedy_level_reference(edges):
 
 
 def exact_level_reference(n, updates):
-    """One level's (op, u, v) updates kept as a multiset of pairs: (exact MCM
-    of the surviving pairs, peak number of distinct live pairs)."""
-    mult: dict[tuple[int, int], int] = {}
+    """One level's (op, u, v) updates on a simple graph, kept as the set of
+    live pairs: (exact MCM of the surviving pairs, peak number of live
+    pairs). Like the exact estimator, it refuses an insert of a live pair
+    and a delete of an absent one."""
+    live: set[tuple[int, int]] = set()
     peak = 0
     for op, u, v in updates:
         key = (min(u, v), max(u, v))
         if op == INSERT:
-            mult[key] = mult.get(key, 0) + 1
-            peak = max(peak, len(mult))
-        elif mult.get(key, 0) == 0:
-            raise StreamError(f"delete of absent edge {key}")
-        elif mult[key] == 1:
-            del mult[key]
+            if key in live:
+                raise StreamError(f"duplicate insert of edge {key}")
+            live.add(key)
+            peak = max(peak, len(live))
+        elif key in live:
+            live.remove(key)
         else:
-            mult[key] -= 1
-    snapshot = GraphSnapshot(n, tuple(sorted((u, v, 1.0) for u, v in mult)))
+            raise StreamError(f"delete of absent edge {key}")
+    snapshot = GraphSnapshot(n, tuple(sorted((u, v, 1.0) for u, v in live)))
     return float(exact_mcm(snapshot).value), peak
 
 

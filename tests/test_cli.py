@@ -207,6 +207,16 @@ def test_suite_reps_below_1_is_a_parse_error(tmp_path, capsys, reps):
     assert "reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_eval_jobs_below_1_is_a_parameter_error(tmp_path, capsys, jobs):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n")
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out), "--jobs", jobs]) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_input_is_a_parse_error(tmp_path):
     stream = tmp_path / "bad.stream"
     stream.write_bytes(b"n 2 wmax 1 model insert-only\n+ 1 2 \xff\n")

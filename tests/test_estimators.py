@@ -124,6 +124,42 @@ def test_greedy_state_does_not_grow_with_levels_squared():
     assert {e.value for e in est.finalize()} == {1.0}
 
 
+def test_exact_state_does_not_grow_with_levels_squared():
+    # one packed counter field per level; a table of the ones of levels
+    # 0..top for every top would cost about T^2 * width / 2 bits (48 MiB here)
+    levels = 20_000
+    tracemalloc.start()
+    try:
+        est = make_estimator(EXACT_OFFLINE, 2, 0.01, DYNAMIC, levels)
+        est.update(INSERT, 1, 2, levels)
+        est.update(DELETE, 1, 2, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert set(est.finalize()) == {(0.0, 1)}
+
+
+def test_greedy_refuses_an_unknown_op():
+    est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY, 2)
+    with pytest.raises(StreamError, match="unknown op 'bogus'"):
+        est.update("bogus", 1, 2, 0)
+    assert [e.value for e in est.finalize()] == [0.0] * 3
+    header = StreamHeader(3, 4.0, INSERT_ONLY)
+    with pytest.raises(StreamError, match="unknown op"):
+        run(header, [StreamUpdate("bogus", 1, 2, 2.0)], 0.5, 0.1, GREEDY)
+
+
+def test_exact_refuses_an_unknown_op_before_any_state_changes():
+    est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC, 2)
+    est.update(INSERT, 1, 2, 1)
+    with pytest.raises(StreamError, match="unknown op 'bogus'"):
+        est.update("bogus", 1, 2, 1)  # not taken for a delete of the live pair
+    with pytest.raises(StreamError, match="unknown op"):
+        est.update("bogus", 3, 4, 2)
+    assert est.finalize() == [(1.0, 1), (1.0, 1), (0.0, 0)]
+
+
 def test_greedy_path_in_order():
     est = make_estimator(GREEDY, 4, 0.05, INSERT_ONLY)
     for u, v in [(1, 2), (2, 3), (3, 4)]:
@@ -242,11 +278,21 @@ def test_estimators_deterministic():
 # --- the nested estimator against one plain reference per level ----------------
 
 
+def _weight(rng, schedule):
+    """A weight in [1, wmax]: an exact threshold, an integer or a float."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([t for t in schedule.thresholds if t <= schedule.wmax])
+    if kind == 1:
+        return float(rng.randint(1, int(schedule.wmax)))
+    return rng.uniform(1.0, schedule.wmax)
+
+
 def _weighted_stream(rng, schedule, n, length, deletes):
-    """(op, u, v, w) updates on at most n vertices. Weights mix exact
-    thresholds, integers and floats in [1, wmax]. With ``deletes``, the
-    stream is a simple graph: live pairs are deleted with their weight, and
-    a pair drawn again while live is deleted instead of inserted."""
+    """(op, u, v, w) updates on at most n vertices, weighted by ``_weight``.
+    With ``deletes``, the stream is a simple graph: live pairs are deleted
+    with their weight, and a pair drawn again while live is deleted instead
+    of inserted."""
     live: dict[tuple[int, int], float] = {}  # pair -> w
     out = []
     for _ in range(length):
@@ -259,13 +305,7 @@ def _weighted_stream(rng, schedule, n, length, deletes):
         if pair in live:
             out.append((DELETE, u, v, live.pop(pair)))
             continue
-        kind = rng.randrange(3)
-        if kind == 0:
-            w = rng.choice([t for t in schedule.thresholds if t <= schedule.wmax])
-        elif kind == 1:
-            w = float(rng.randint(1, int(schedule.wmax)))
-        else:
-            w = rng.uniform(1.0, schedule.wmax)
+        w = _weight(rng, schedule)
         if deletes:
             live[pair] = w
         out.append((INSERT, u, v, w))
@@ -298,6 +338,74 @@ def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
         stream = _weighted_stream(rng, schedule, n, rng.randint(0, 40), kind == EXACT_OFFLINE)
         got, want = _nested_vs_reference(kind, schedule, n, stream)
         assert got == want, stream
+
+
+def _churned_stream(rng, schedule, n, grow, churn):
+    """A simple-graph stream whose updates delete a random live pair with
+    probability 0.3 for the first ``grow`` updates and 0.7 for the next
+    ``churn``, and insert a pair that is not live otherwise; it then drains
+    to at most 24 live pairs (the oracle's cap), oldest first."""
+    live: dict[tuple[int, int], float] = {}  # pair -> w, in insertion order
+    out = []
+    while len(out) < grow + churn:
+        if live and rng.random() < (0.3 if len(out) < grow else 0.7):
+            pair = rng.choice(list(live))
+            out.append((DELETE, *pair, live.pop(pair)))
+            continue
+        u, v = rng.sample(range(1, n + 1), 2)
+        if (pair := (min(u, v), max(u, v))) not in live:
+            live[pair] = w = _weight(rng, schedule)
+            out.append((INSERT, v, u, w))
+    while len(live) > 24:
+        pair = next(iter(live))
+        out.append((DELETE, *pair, live.pop(pair)))
+    return out
+
+
+def _brute_force_peaks(schedule, stream):
+    """Each level's peak live count, counted on its own substream."""
+    peaks = []
+    for t in schedule.thresholds:
+        live = peak = 0
+        for op, _, _, w in stream:
+            if w >= t:
+                live += 1 if op == INSERT else -1
+                peak = max(peak, live)
+        peaks.append(peak)
+    return peaks
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5])
+def test_nested_exact_counts_peaks_in_the_hundreds_on_a_long_churned_stream(epsilon):
+    schedule = build_schedule(epsilon, 1024.0)
+    stream = _churned_stream(random.Random(epsilon), schedule, 200, 1100, 900)
+    got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 200, stream)
+    assert got == want
+    peaks = _brute_force_peaks(schedule, stream)
+    assert [words for _, words in got] == peaks
+    assert len(stream) >= 2000 and peaks[0] >= 300 and peaks[schedule.levels // 2] >= 100
+
+
+@pytest.mark.parametrize("levels", [0, 1, 6])
+def test_nested_exact_on_the_smallest_vertex_counts(levels):
+    # n = 1 has no pair, and n = 2 one pair, whose counter fields are 2 bits
+    one = make_estimator(EXACT_OFFLINE, 1, 0.05, DYNAMIC, levels)
+    for op in (INSERT, DELETE):
+        with pytest.raises(StreamError):
+            one.update(op, 1, 1, levels)
+    assert one.finalize() == [(0.0, 0)] * (levels + 1)
+    rng = random.Random(levels)
+    est = make_estimator(EXACT_OFFLINE, 2, 0.05, DYNAMIC, levels)
+    stream, peaks = [], [0] * (levels + 1)
+    for _ in range(30):
+        top = rng.randint(0, levels)
+        stream += [(INSERT, 1, 2, top), (DELETE, 2, 1, top)]
+        peaks[: top + 1] = [1] * (top + 1)
+    stream.append((INSERT, 2, 1, levels // 2))
+    for op, u, v, top in stream:
+        est.update(op, u, v, top)
+    live = levels // 2 + 1
+    assert est.finalize() == [(1.0, 1)] * live + [(0.0, p) for p in peaks[live:]]
 
 
 def test_nested_exact_with_repeated_inserts_and_deletes_of_one_pair():

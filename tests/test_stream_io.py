@@ -131,6 +131,14 @@ def test_replay_refuses_a_bad_pair_before_packing_it(updates):
         replay(StreamHeader(3, 4.0, DYNAMIC), updates)
 
 
+@pytest.mark.parametrize("model", [INSERT_ONLY, DYNAMIC])
+def test_replay_refuses_an_unknown_op(model):
+    # neither counted as an insert nor taken for a delete of the live pair
+    updates = [StreamUpdate(INSERT, 1, 2, 2.0), StreamUpdate("bogus", 1, 2, 2.0)]
+    with pytest.raises(StreamError, match="unknown op 'bogus'"):
+        replay(StreamHeader(3, 4.0, model), updates)
+
+
 def test_export_snapshot_round_trips():
     header, updates = parse_stream(
         "n 4 wmax 4 model dynamic\n+ 3 4 4\n+ 1 2 1\n- 3 4 4\n"
