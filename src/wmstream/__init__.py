@@ -18,7 +18,7 @@ from .errors import (
 )
 from .estimators import ESTIMATORS, McmEstimate, make_estimator
 from .generators import GenConfig, dynamify, generate
-from .oracle import OracleResult, arboricity, exact_mcm, exact_mwm
+from .oracle import OracleResult, exact_mcm, exact_mwm
 from .reduction import (
     LevelState,
     RunReport,

@@ -62,14 +62,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+# `oracle --mode` name -> the exact search it runs
+_ORACLE_MODES = {"mwm": oracle.exact_mwm, "mcm": oracle.exact_mcm}
+
+
 def cmd_oracle(args) -> int:
     header, updates = _read_stream(args.stream)
-    snapshot = stream_io.replay(header, updates)
-    if args.mode == "arboricity":
-        payload = {"mode": "arboricity", "value": oracle.arboricity(snapshot)}
-    else:
-        result = (oracle.exact_mwm if args.mode == "mwm" else oracle.exact_mcm)(snapshot)
-        payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
+    result = _ORACLE_MODES[args.mode](stream_io.replay(header, updates))
+    payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
     _write(json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="exact ground truth on a small stream")
     p_or.add_argument("--stream", required=True)
-    p_or.add_argument("--mode", choices=["mwm", "mcm", "arboricity"], required=True)
+    p_or.add_argument("--mode", choices=_ORACLE_MODES, required=True)
     p_or.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible stream")

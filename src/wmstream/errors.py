@@ -49,8 +49,9 @@ class CapabilityError(WmStreamError):
 
 
 class CapacityError(WmStreamError):
-    """An instance exceeds a size cap: the exhaustive oracle's, or a vertex
-    count ``n`` too large for the greedy estimator's per-vertex list."""
+    """An instance exceeds a size cap: the exhaustive oracle's, the level
+    schedule's (``schedule.MAX_LEVELS``), or a vertex count ``n`` too large
+    for the greedy estimator's per-vertex list."""
 
     exit_code = 4
 

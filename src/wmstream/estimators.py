@@ -16,11 +16,10 @@ graph and asking the oracle).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CapabilityError, CapacityError, ParameterError, StreamError, WmStreamError
-from .oracle import exact_mcm
+from .oracle import check_oracle_cap, exact_mcm
 from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot
 
 EXACT_OFFLINE = "exact"
@@ -117,8 +116,9 @@ class ExactOfflineEstimator:
     insert at ``top`` takes one from every positive field of levels 0..top
     (a level at its peak raises its peak instead), and a delete adds one to
     each; either is a few big-int operations, whatever ``levels`` is.
-    ``finalize`` adds back each level's live count, counted from the tops
-    of the retained pairs."""
+    ``finalize`` grows one edge list from the top level down, each level
+    adding the pairs whose top it is, and asks the oracle only at a level
+    that added some; a level's words are the list's length plus its gap."""
 
     LAM = 1.0
     SUPPORTS_DELETES = True
@@ -158,25 +158,19 @@ class ExactOfflineEstimator:
         self._gap += ones
 
     def finalize(self) -> list[McmEstimate]:
+        check_oracle_cap(self._edges)  # level 0 holds every live pair
+        added: dict[int, list] = {}  # level i adds the pairs whose top is i
+        for (u, v), top in self._edges.items():
+            added.setdefault(top, []).append((u, v, 1.0))
         width = self._width
-        span = width * (self.levels + 1)
-        bits = format(self._gap, f"0{span}b")  # level i's field ends i fields from the right
-        tops = [0] * (self.levels + 1)
-        for top in self._edges.values():
-            tops[top] += 1
-        live = list(accumulate(reversed(tops)))[::-1]  # level i holds tops >= i
-        pairs = sorted(self._edges.items())
-        out = []
-        size = None
-        for i, count in enumerate(live):
-            # nested levels of equal size hold the same edges, so ask once
-            if count != size:
-                size = count
-                level = tuple((u, v, 1.0) for (u, v), top in pairs if top >= i)
-                value = float(exact_mcm(GraphSnapshot(self.n, level)).value)
-            gap = int(bits[span - (i + 1) * width : span - i * width], 2)
-            out.append(McmEstimate(value, count + gap))
-        return out
+        field = (1 << width) - 1
+        level, value, out = [], 0.0, []
+        for i in range(self.levels, -1, -1):
+            if i in added:  # a level that adds no edges keeps the value above it
+                level += added[i]
+                value = float(exact_mcm(GraphSnapshot(self.n, tuple(level))).value)
+            out.append(McmEstimate(value, len(level) + (self._gap >> i * width & field)))
+        return out[::-1]
 
 
 # Estimator name -> class; adding an estimator means adding one entry here.

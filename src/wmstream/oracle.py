@@ -1,8 +1,8 @@
-"""Exhaustive ground truth on small graphs: exact MWM, exact MCM, and a
-density-based arboricity check.
+"""Exhaustive ground truth on small graphs: exact MWM and exact MCM.
 
-These are test instruments, not streaming components. Size caps keep every
-call well under a second; larger inputs are refused rather than degraded.
+The exact estimator's ``finalize`` and lemma 2's check call ``exact_mcm``;
+eval and ``estimate --verify`` call ``exact_mwm``. A size cap keeps every
+call well under a second; larger inputs are refused, not degraded.
 
 Two exact searches over the sorted edge list answer the matching questions,
 and both return the lexicographically smallest optimal witness:
@@ -18,14 +18,12 @@ and both return the lexicographically smallest optimal witness:
 
 from __future__ import annotations
 
-from math import ceil
 from typing import NamedTuple
 
 from .errors import CapacityError
 from .stream_io import GraphSnapshot
 
 MAX_ORACLE_EDGES = 24
-MAX_ARBORICITY_VERTICES = 12
 
 
 class OracleResult(NamedTuple):
@@ -134,25 +132,3 @@ def _mwm_search(edges):
                 (idx + 1, used | masks[idx], val + weights[idx], chosen + (idx,))
             )
     return best_val, tuple(edges[i] for i in best_wit)
-
-
-def arboricity(snapshot: GraphSnapshot) -> int:
-    """Density arboricity: max over vertex subsets U (|U| >= 2) of
-    ceil(|E(U)| / (|U| - 1)), by exhaustive subset enumeration."""
-    if snapshot.n > MAX_ARBORICITY_VERTICES:
-        raise CapacityError(
-            f"n={snapshot.n} exceeds arboricity cap {MAX_ARBORICITY_VERTICES}"
-        )
-    if not snapshot.edges:
-        return 0
-    edge_masks = [
-        (1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in snapshot.edges
-    ]
-    best = 0
-    for mask in range(3, 1 << snapshot.n):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        inside = sum(1 for em in edge_masks if em & mask == em)
-        best = max(best, ceil(inside / (size - 1)))
-    return best

@@ -24,6 +24,10 @@ from .oracle import check_oracle_cap, exact_mcm
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate
 
+# Relative slack of the checks that compare float sums, whose rounding
+# depends on the order in which they were added.
+REL_SLACK = 1e-9
+
 
 class LevelState(NamedTuple):
     level: int
@@ -106,9 +110,9 @@ def check_lemma1(report: RunReport) -> bool:
     )
 
 
-def check_observations(report: RunReport, rel_tol: float = 1e-9) -> bool:
+def check_observations(report: RunReport) -> bool:
     """b is the exact suffix sum of delta; a the threshold-weighted suffix
-    sum within relative tolerance."""
+    sum within a relative slack of REL_SLACK."""
     thresholds = report.schedule.thresholds
     b_sum = 0
     a_sum = 0.0
@@ -117,7 +121,7 @@ def check_observations(report: RunReport, rel_tol: float = 1e-9) -> bool:
         a_sum += thresholds[st.level] * st.delta_count
         if st.b != b_sum:
             return False
-        if abs(st.a - a_sum) > rel_tol * max(1.0, abs(a_sum)):
+        if abs(st.a - a_sum) > REL_SLACK * max(1.0, abs(a_sum)):
             return False
     return True
 
@@ -126,13 +130,13 @@ def check_sandwich(report: RunReport, mwm: float) -> tuple[float, float, bool]:
     """End-to-end guarantee estimate <= mwm <= 2*lambda*(1+eps)*estimate for
     a report from ``run``, as (ratio, bound, ok) with ratio = mwm/estimate.
     Both zero counts as ratio 1; a zero estimate of a positive MWM as inf.
-    The ratio is checked within a relative slack of 1e-9."""
+    The ratio is checked within a relative slack of REL_SLACK."""
     bound = 2.0 * ESTIMATORS[report.estimator].LAM * (1.0 + report.schedule.epsilon)
     if report.estimate == 0.0:
         ratio = 1.0 if mwm == 0.0 else float("inf")
     else:
         ratio = mwm / report.estimate
-    return ratio, bound, 1.0 - 1e-9 <= ratio <= bound * (1.0 + 1e-9)
+    return ratio, bound, 1.0 - REL_SLACK <= ratio <= bound * (1.0 + REL_SLACK)
 
 
 def check_lemma2(
@@ -145,11 +149,11 @@ def check_lemma2(
 
     Lower: one matching M of the graph has at least b_j edges of weight
     >= thresholds[j] at every level j at once, and w(M) >= estimate within
-    a relative slack of 1e-9. M is built as in the proof: from the top level
-    down, add delta_j edges of a maximum cardinality matching of level j's
-    substream whose endpoints M leaves free. Each used vertex blocks at most
-    one such edge, so this succeeds whenever delta_j <= MCM_j - 2*b_{j+1},
-    as combine ensures for s_hat <= MCM.
+    a relative slack of REL_SLACK. M is built as in the proof: from the top
+    level down, add delta_j edges of a maximum cardinality matching of level
+    j's substream whose endpoints M leaves free. Each used vertex blocks at
+    most one such edge, so this succeeds whenever
+    delta_j <= MCM_j - 2*b_{j+1}, as combine ensures for s_hat <= MCM.
 
     Upper: #{e in M* : w(e) >= thresholds[j]} <= 2*lambda*b_j per level.
 
@@ -183,7 +187,7 @@ def check_lemma2(
             return False
         if sum(1 for w in matching_weights if w >= t) > 2 * lam * st.b:
             return False
-    return sum(picked) >= report.estimate * (1.0 - 1e-9)
+    return sum(picked) >= report.estimate * (1.0 - REL_SLACK)
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -11,7 +11,14 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import ParameterError, WeightRangeError
+from .errors import CapacityError, ParameterError, WeightRangeError
+
+# The schedule holds levels + 1 thresholds, and a run keeps a few objects per
+# level on top of them. A tiny epsilon or a huge wmax asks for billions of
+# levels, which would exhaust memory before the stream is read. 2^18 still
+# allows epsilon 1e-5 at wmax 4 (138,631 levels); at the cap a one-edge
+# `estimate` peaks near 530 MiB, most of it the JSON of its per-level report.
+MAX_LEVELS = 1 << 18
 
 
 class LevelSchedule(NamedTuple):
@@ -33,7 +40,8 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     maximum weight ``wmax``.
 
     The level count is ceil(log_{1+eps} wmax), zero when wmax == 1.
-    epsilon must lie in (0, 1]; values above 1 are rejected.
+    epsilon must lie in (0, 1]; values above 1 are rejected. A count above
+    MAX_LEVELS raises CapacityError.
     """
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be finite, got {epsilon!r}")
@@ -46,10 +54,12 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
 
     epsilon = float(epsilon)
     wmax = float(wmax)
-    if wmax == 1.0:
-        levels = 0
-    else:
-        levels = math.ceil(math.log(wmax) / math.log1p(epsilon))
+    span = math.log(wmax) / math.log1p(epsilon)  # inf if the quotient overflows
+    if span > MAX_LEVELS:
+        raise CapacityError(
+            f"epsilon {epsilon} and wmax {wmax} need more than {MAX_LEVELS} levels"
+        )
+    levels = math.ceil(span)
 
     thresholds = [1.0]
     for _ in range(levels):

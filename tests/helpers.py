@@ -2,8 +2,10 @@
 suites."""
 
 import random
+from math import ceil
 
 from wmstream import (
+    CapacityError,
     GenConfig,
     GraphSnapshot,
     ParameterError,
@@ -18,6 +20,7 @@ from wmstream.estimators import EXACT_OFFLINE
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
 ORACLE_EDGE_CAP = 24
+MAX_ARBORICITY_VERTICES = 12
 
 
 def corpus_configs():
@@ -90,6 +93,31 @@ def combined_report(schedule, s_hats, estimator=EXACT_OFFLINE):
     levels = combine(schedule, s_hats)
     width = schedule.levels + 1
     return RunReport(schedule, levels, levels[-1].a, estimator, 0.1, 0.1 / width, (0,) * width)
+
+
+# --- arboricity, the bound the forest-union generator promises ----------------
+
+
+def arboricity(snapshot: GraphSnapshot) -> int:
+    """Density arboricity: max over vertex subsets U (|U| >= 2) of
+    ceil(|E(U)| / (|U| - 1)), by exhaustive subset enumeration."""
+    if snapshot.n > MAX_ARBORICITY_VERTICES:
+        raise CapacityError(
+            f"n={snapshot.n} exceeds arboricity cap {MAX_ARBORICITY_VERTICES}"
+        )
+    if not snapshot.edges:
+        return 0
+    edge_masks = [
+        (1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in snapshot.edges
+    ]
+    best = 0
+    for mask in range(3, 1 << snapshot.n):
+        size = mask.bit_count()
+        if size < 2:
+            continue
+        inside = sum(1 for em in edge_masks if em & mask == em)
+        best = max(best, ceil(inside / (size - 1)))
+    return best
 
 
 # --- single-level references for the nested estimators ------------------------

@@ -90,8 +90,19 @@ def test_oracle_modes(tmp_path, capsys):
     lines = ["n 4 wmax 1 model insert-only"]
     lines += [f"+ {u} {v} 1" for u in range(1, 5) for v in range(u + 1, 5)]
     k4.write_text("\n".join(lines) + "\n")
-    assert main(["oracle", "--stream", str(k4), "--mode", "arboricity"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 2
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the choice
+        main(["oracle", "--stream", str(k4), "--mode", "arboricity"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'arboricity'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wmax,epsilon", [("4", "1e-7"), ("4", "1e-17"), ("1e308", "0.001")])
+def test_estimate_refuses_a_schedule_over_max_levels(tmp_path, capsys, wmax, epsilon):
+    path = tmp_path / "one.stream"
+    path.write_text(f"n 2 wmax {wmax} model insert-only\n+ 1 2 3\n")
+    assert main(["estimate", "--stream", str(path), "--epsilon", epsilon]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("wmstream: ") and err.endswith("levels\n") and err.count("\n") == 1
 
 
 def test_oracle_capacity_exit_code(tmp_path):
@@ -274,6 +285,19 @@ def test_eval_marks_a_bad_generator_row_and_keeps_the_good_one(tmp_path):
     good, bad = csv.DictReader(line for line in out.read_text().splitlines()
                                if not line.startswith("#"))
     assert (good["status"], bad["status"]) == ("ok", "error:ParameterError")
+
+
+def test_eval_marks_a_row_over_max_levels_and_runs_the_others(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n\n"
+                     "family=grid\nrows=2\ncols=2\nepsilon=1e-9\nestimator=exact\n\n"
+                     "family=grid\nrows=2\ncols=2\nestimator=greedy\n")
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 4
+    rows = csv.DictReader(line for line in out.read_text().splitlines()
+                          if not line.startswith("#"))
+    assert [row["status"] for row in rows] == ["ok", "error:CapacityError", "ok"]
+    assert capsys.readouterr().err.count("error:CapacityError") == 1
 
 
 def test_eval_row_where_optimal_matching_misses_the_top_level_is_ok(tmp_path):

@@ -8,6 +8,7 @@ from helpers import exact_level_reference, greedy_level_reference
 from wmstream import (
     ESTIMATORS,
     CapabilityError,
+    CapacityError,
     GraphSnapshot,
     ParameterError,
     StreamError,
@@ -464,8 +465,37 @@ def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
     header = StreamHeader(6, 16.0, DYNAMIC)
     report = run(header, [StreamUpdate(*upd) for upd in stream], 0.1, 0.1, EXACT_OFFLINE)
     assert report.schedule.levels == 30
-    assert asked == [5, 2, 0]
+    assert asked == [2, 5]  # top first; no call for a level that adds no edges
     got = [(st.s_hat, report.level_words[st.level]) for st in reversed(report.levels)]
     want = [exact_level_reference(6, [(op, u, v) for op, u, v, w in stream if w >= t])
             for t in report.schedule.thresholds]
     assert got == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_walk_carries_values_down_through_levels_that_add_no_edges(seed):
+    # eps 0.1 at wmax 64 gives 44 levels, and a churned stream drained to at
+    # most 24 live pairs leaves many levels between its tops adding none
+    schedule = build_schedule(0.1, 64.0)
+    stream = _churned_stream(random.Random(seed), schedule, 12, 60, 20)
+    got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 12, stream)
+    assert got == want
+    live = replay(StreamHeader(12, 64.0, DYNAMIC), stream).edges
+    tops = {top_level(schedule, w) for _, _, w in live}
+    assert len(live) <= 24 and len(tops) >= 2
+    assert len(set(range(max(tops))) - tops) >= 10  # levels below the top adding none
+
+
+@pytest.mark.parametrize("low,mid", [(24, 0), (5, 24)], ids=["25-pairs", "level-1-over-the-cap"])
+def test_exact_finalize_checks_the_oracle_cap_on_every_live_pair_first(monkeypatch, low, mid):
+    asked = []
+    monkeypatch.setattr(estimators, "exact_mcm", asked.append)
+    est = make_estimator(EXACT_OFFLINE, 40, 0.05, DYNAMIC, 3)
+    est.update(INSERT, 1, 2, 3)  # the top level alone holds one pair
+    for k, v in enumerate(range(3, 3 + mid + low)):
+        est.update(INSERT, 1, v, 1 if k < mid else 0)
+    # level 0 holds every live pair, so that count is the one refused
+    message = f"{1 + mid + low} edges exceed oracle cap 24"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        est.finalize()
+    assert asked == []

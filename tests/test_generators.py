@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from helpers import dynamify_reference
+from helpers import arboricity, dynamify_reference
 from wmstream import (
     GenConfig,
     ParameterError,
-    arboricity,
     dynamify,
     generate,
     replay,

@@ -4,10 +4,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import arboricity
 from wmstream import (
     CapacityError,
     GraphSnapshot,
-    arboricity,
     exact_mcm,
     exact_mwm,
 )

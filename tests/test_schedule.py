@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wmstream import ParameterError, WeightRangeError, build_schedule, top_level
+from wmstream import CapacityError, ParameterError, WeightRangeError, build_schedule, top_level
+from wmstream.schedule import MAX_LEVELS
 
 
 def test_power_of_two_levels():
@@ -101,3 +103,26 @@ def test_substream_nesting_on_random_weights():
     ]
     for inner, outer in zip(members[1:], members):
         assert inner <= outer
+
+
+@pytest.mark.parametrize("epsilon,wmax", [(1e-7, 4.0), (1e-17, 4.0), (0.001, 1e308), (5e-324, 4.0)])
+def test_a_schedule_over_max_levels_is_refused_before_it_is_built(epsilon, wmax):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"more than {MAX_LEVELS} levels"):
+            build_schedule(epsilon, wmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_max_levels_is_the_longest_schedule_built():
+    assert build_schedule(1e-5, 4.0).levels == 138_631
+    # the smallest epsilon whose schedule at wmax 4 fits, and the one below it
+    epsilon = math.expm1(math.log(4.0) / MAX_LEVELS)
+    while math.log(4.0) / math.log1p(epsilon) <= MAX_LEVELS:
+        epsilon = math.nextafter(epsilon, 0.0)
+    with pytest.raises(CapacityError):
+        build_schedule(epsilon, 4.0)
+    assert build_schedule(math.nextafter(epsilon, 1.0), 4.0).levels == MAX_LEVELS
