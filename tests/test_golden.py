@@ -48,6 +48,14 @@ def test_golden_estimate_verify_json(tmp_path, estimator):
 #       --wmax 1024 --order shuffled --seed 11
 #   gen --family grid --rows 4 --cols 4 --weights uniform-int --wmax 64
 #       --order shuffled --churn 0.5 --seed 5
+CORPUS_GEN_ARGS = [
+    ("er200_powerlaw.stream",
+     ["gen", "--family", "erdos-renyi", "--n", "200", "--p", "0.1", "--weights", "powerlaw",
+      "--alpha", "1.0", "--wmax", "1024", "--order", "shuffled", "--seed", "11"]),
+    ("grid4x4_churn.stream",
+     ["gen", "--family", "grid", "--rows", "4", "--cols", "4", "--weights", "uniform-int",
+      "--wmax", "64", "--order", "shuffled", "--churn", "0.5", "--seed", "5"]),
+]
 LARGE_ESTIMATES = [
     ("er200_powerlaw.stream", "greedy", "0.1", [], "estimate_greedy_er200.json"),
     ("grid4x4_churn.stream", "exact", "0.5", ["--verify"], "estimate_exact_churn.json"),
@@ -61,3 +69,10 @@ def test_golden_estimate_json_on_many_levels(tmp_path, stream, estimator, epsilo
                  "--estimator", estimator, *extra, "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("stream,args", CORPUS_GEN_ARGS)
+def test_golden_gen_regenerates_the_corpus_streams(tmp_path, stream, args):
+    out = tmp_path / stream
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / stream).read_bytes()
