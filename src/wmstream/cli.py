@@ -10,6 +10,7 @@ import os
 import sys
 import time
 import typing
+from contextlib import nullcontext
 
 from . import generators, oracle, reduction, stream_io
 from .errors import InvariantError, ParameterError, ParseError, WmStreamError
@@ -37,13 +38,14 @@ def _read_stream(path: str):
         return stream_io.parse_stream(fh.read())
 
 
-def _write(text: str, path: str | None = None) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(content: str | dict, path: str | None = None) -> None:
+    """Write ``content`` to the file at ``path``, or to stdout without one. A
+    dict goes as indented JSON and a newline, encoded into the file as it is built."""
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
+        if isinstance(content, dict):
+            json.dump(content, fh, indent=2)
+            content = "\n"
+        fh.write(content)
 
 
 def cmd_estimate(args) -> int:
@@ -56,7 +58,7 @@ def cmd_estimate(args) -> int:
         _, bound, ok = reduction.check_sandwich(report, result.value)
         payload.update(oracle_mwm=result.value, bound=bound, sandwich_ok=ok)
 
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(payload, args.out)
     if args.verify and not payload["sandwich_ok"]:
         raise InvariantError("approximation sandwich violated")
     return 0
@@ -70,7 +72,7 @@ def cmd_oracle(args) -> int:
     header, updates = _read_stream(args.stream)
     result = _ORACLE_MODES[args.mode](stream_io.replay(header, updates))
     payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
-    _write(json.dumps(payload, indent=2) + "\n")
+    _write(payload)
     return 0
 
 

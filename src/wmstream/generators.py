@@ -1,5 +1,5 @@
-"""Reproducible stream synthesis: graph families, weight assignment,
-stream ordering, and dynamic-stream churn."""
+"""Reproducible stream synthesis: graph families, weight laws, stream
+orders and dynamic-stream churn, each one entry in a table keyed by name."""
 
 from __future__ import annotations
 
@@ -8,18 +8,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
-from .stream_io import (
-    DELETE,
-    DYNAMIC,
-    INSERT,
-    INSERT_ONLY,
-    StreamHeader,
-    StreamUpdate,
-)
-
-FAMILIES = ("forest-union", "grid", "erdos-renyi")
-WEIGHT_DISTS = ("uniform-int", "powerlaw", "constant")
-ORDERS = ("as-generated", "shuffled", "heavy-first", "light-first")
+from .stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
 
 class GenConfig(NamedTuple):
@@ -37,40 +26,12 @@ class GenConfig(NamedTuple):
     seed: int = 0
 
     def summary(self) -> str:
-        if self.family == "grid":
-            shape = f"{self.rows}x{self.cols}"
-        elif self.family == "erdos-renyi":
-            shape = f"n={self.n},p={self.p}"
-        else:
-            shape = f"n={self.n},nu={self.nu}"
+        # an unknown family, which generate refuses, shows n and nu
+        shape = _FAMILIES.get(self.family, (_N_NU,))[0]
         return (
-            f"{self.family}({shape},w={self.weights}:{self.wmax},"
+            f"{self.family}({shape.format(**self._asdict())},w={self.weights}:{self.wmax},"
             f"order={self.order},churn={self.churn},seed={self.seed})"
         )
-
-
-def _validate(config: GenConfig) -> None:
-    if config.family not in FAMILIES:
-        raise ParameterError(f"unknown family {config.family!r}")
-    if config.weights not in WEIGHT_DISTS:
-        raise ParameterError(f"unknown weight distribution {config.weights!r}")
-    if config.order not in ORDERS:
-        raise ParameterError(f"unknown order {config.order!r}")
-    if config.family == "grid":
-        if config.rows < 1 or config.cols < 1:
-            raise ParameterError("grid needs rows >= 1 and cols >= 1")
-    elif config.n < 1:
-        raise ParameterError(f"n must be >= 1, got {config.n}")
-    if config.family == "forest-union" and config.nu < 1:
-        raise ParameterError(f"nu must be >= 1, got {config.nu}")
-    if config.family == "erdos-renyi" and not (0.0 <= config.p <= 1.0):
-        raise ParameterError(f"p must be in [0, 1], got {config.p}")
-    if not (math.isfinite(config.wmax) and config.wmax >= 1.0):
-        raise ParameterError(f"wmax must be finite and >= 1, got {config.wmax}")
-    if not (math.isfinite(config.alpha) and config.alpha > 0.0):
-        raise ParameterError(f"alpha must be finite and > 0, got {config.alpha}")
-    if not (0.0 <= config.churn <= 1.0):
-        raise ParameterError(f"churn must be in [0, 1], got {config.churn}")
 
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -96,32 +57,35 @@ def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return tree
 
 
-def _family_edges(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
-    if config.family == "forest-union":
-        seen = set()
-        edges = []
-        for _ in range(config.nu):
-            for u, v in _random_spanning_tree(config.n, rng):
-                key = (u, v) if u < v else (v, u)
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-        return config.n, edges
-    if config.family == "grid":
-        rows, cols = config.rows, config.cols
+def _forest_union(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    seen = set()
+    edges = []
+    for _ in range(config.nu):
+        for u, v in _random_spanning_tree(config.n, rng):
+            key = (u, v) if u < v else (v, u)
+            if key not in seen:
+                seen.add(key)
+                edges.append(key)
+    return config.n, edges
 
-        def vid(r: int, c: int) -> int:
-            return r * cols + c + 1
 
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((vid(r, c), vid(r, c + 1)))
-                if r + 1 < rows:
-                    edges.append((vid(r, c), vid(r + 1, c)))
-        return rows * cols, edges
-    # erdos-renyi
+def _grid(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    rows, cols = config.rows, config.cols
+
+    def vid(r: int, c: int) -> int:
+        return r * cols + c + 1
+
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((vid(r, c), vid(r + 1, c)))
+    return rows * cols, edges
+
+
+def _erdos_renyi(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
     edges = [
         (u, v)
         for u in range(1, config.n + 1)
@@ -131,12 +95,8 @@ def _family_edges(config: GenConfig, rng: random.Random) -> tuple[int, list[tupl
     return config.n, edges
 
 
-def _draw_weight(config: GenConfig, rng: random.Random) -> float:
-    if config.weights == "constant":
-        return 1.0
-    if config.weights == "uniform-int":
-        return float(rng.randint(1, int(config.wmax)))
-    # powerlaw: Pareto(alpha) floored at 1 and capped at wmax; a small alpha
+def _powerlaw(config: GenConfig, rng: random.Random) -> float:
+    # Pareto(alpha) floored at 1 and capped at wmax; a small alpha
     # can draw a value beyond the float range, which the cap also covers
     try:
         w = rng.paretovariate(config.alpha)
@@ -145,27 +105,62 @@ def _draw_weight(config: GenConfig, rng: random.Random) -> float:
     return min(float(config.wmax), max(1.0, w))
 
 
+# A family is (its fields in summary(), a str.format template; its (n, pairs)
+# builder; then its field checks, (holds(config), refusal template), in order).
+# A weight law is one draw, an order one in-place reordering of the (op, u, v, w) updates.
+_N_NU = "n={n},nu={nu}"
+_N_CHECK = (lambda c: c.n >= 1, "n must be >= 1, got {n}")
+_FAMILIES = {
+    "forest-union": (_N_NU, _forest_union, _N_CHECK,
+                     (lambda c: c.nu >= 1, "nu must be >= 1, got {nu}")),
+    "grid": ("{rows}x{cols}", _grid,
+             (lambda c: c.rows >= 1 and c.cols >= 1, "grid needs rows >= 1 and cols >= 1")),
+    "erdos-renyi": ("n={n},p={p}", _erdos_renyi, _N_CHECK,
+                    (lambda c: 0.0 <= c.p <= 1.0, "p must be in [0, 1], got {p}")),
+}
+_WEIGHT_LAWS = {
+    "uniform-int": lambda config, rng: float(rng.randint(1, int(config.wmax))),
+    "powerlaw": _powerlaw,
+    "constant": lambda config, rng: 1.0,
+}
+_ORDERS = {
+    "as-generated": lambda updates, rng: None,
+    "shuffled": lambda updates, rng: rng.shuffle(updates),
+    "heavy-first": lambda updates, rng: updates.sort(key=lambda upd: (-upd[3], upd[1], upd[2])),
+    "light-first": lambda updates, rng: updates.sort(key=lambda upd: (upd[3], upd[1], upd[2])),
+}
+FAMILIES = tuple(_FAMILIES)
+WEIGHT_DISTS = tuple(_WEIGHT_LAWS)
+ORDERS = tuple(_ORDERS)
+
+
+def _validate(config: GenConfig) -> None:
+    if config.family not in _FAMILIES:
+        raise ParameterError(f"unknown family {config.family!r}")
+    if config.weights not in _WEIGHT_LAWS:
+        raise ParameterError(f"unknown weight distribution {config.weights!r}")
+    if config.order not in _ORDERS:
+        raise ParameterError(f"unknown order {config.order!r}")
+    for holds, refusal in _FAMILIES[config.family][2:]:
+        if not holds(config):
+            raise ParameterError(refusal.format(**config._asdict()))
+    if not (math.isfinite(config.wmax) and config.wmax >= 1.0):
+        raise ParameterError(f"wmax must be finite and >= 1, got {config.wmax}")
+    if not (math.isfinite(config.alpha) and config.alpha > 0.0):
+        raise ParameterError(f"alpha must be finite and > 0, got {config.alpha}")
+
+
 def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
-    """Produce an insertion-only stream; deterministic per (config, seed)."""
+    """Produce a stream, dynamic when churn > 0; deterministic per (config, seed).
+    ``dynamify`` checks the churn, the last of the checks."""
     _validate(config)
     rng = random.Random(config.seed)
-    n, pairs = _family_edges(config, rng)
+    n, pairs = _FAMILIES[config.family][1](config, rng)
     wmax = 1.0 if config.weights == "constant" else float(config.wmax)
-    updates = [
-        StreamUpdate(INSERT, u, v, _draw_weight(config, rng)) for u, v in pairs
-    ]
-
-    if config.order == "shuffled":
-        rng.shuffle(updates)
-    elif config.order == "heavy-first":
-        updates.sort(key=lambda upd: (-upd[3], upd[1], upd[2]))  # (-w, u, v)
-    elif config.order == "light-first":
-        updates.sort(key=lambda upd: (upd[3], upd[1], upd[2]))  # (w, u, v)
-
-    header = StreamHeader(n, wmax, INSERT_ONLY)
-    if config.churn > 0.0:
-        return dynamify(header, updates, config.churn, config.seed + 1)
-    return header, updates
+    draw = _WEIGHT_LAWS[config.weights]
+    updates = [StreamUpdate(INSERT, u, v, draw(config, rng)) for u, v in pairs]
+    _ORDERS[config.order](updates, rng)
+    return dynamify(StreamHeader(n, wmax, INSERT_ONLY), updates, config.churn, config.seed + 1)
 
 
 def dynamify(
@@ -182,11 +177,11 @@ def dynamify(
     if any(op != INSERT for op, _, _, _ in updates):
         raise ParameterError("dynamify input must be insertion-only")
 
-    rng = random.Random(seed)
     m = len(updates)
     k = round(churn * m)
     if k == 0:
         return header, list(updates)
+    rng = random.Random(seed)
 
     # The output is kept as the originals in order, each followed by the
     # updates placed in the gap after it. A Fenwick tree over 1 + gap size per

@@ -20,7 +20,7 @@ INSERT = "insert"
 DELETE = "delete"
 
 _OP_CHARS = {"+": INSERT, "-": DELETE}
-_OP_TO_CHAR = {INSERT: "+", DELETE: "-"}
+_OP_TO_CHAR = {op: char for char, op in _OP_CHARS.items()}
 
 
 class StreamHeader(NamedTuple):

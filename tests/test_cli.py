@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import wmstream
 from wmstream import CapacityError, GenConfig, ParseError, generate, make_estimator, serialize
+from wmstream import reduction
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -379,3 +381,116 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_eval_row_of_an_unknown_family_is_a_parameter_error(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=mystery\nn=5\nestimator=exact\n")
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 2
+    (row,) = csv.DictReader(line for line in out.read_text().splitlines()
+                            if not line.startswith("#"))
+    config = "mystery(n=5,nu=1,w=uniform-int:8.0,order=as-generated,churn=0.0,seed=0)"
+    assert (row["config"], row["status"]) == (config, "error:ParameterError")
+    assert capsys.readouterr().err == f"eval: {config}: error:ParameterError\n"
+
+
+# --- refusals with their message and exit code -------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ("n 2 wmax 2 model insert-only\n+ 1 x 1\n", "line 2: bad update fields in '+ 1 x 1'"),
+    ("# only a comment\n\n", "missing header line"),
+    ("n two wmax 1 model insert-only\n",
+     "line 1: bad header numbers in 'n two wmax 1 model insert-only'"),
+    ("n 2 wmax 0.5 model insert-only\n", "line 1: wmax must be >= 1, got 0.5"),
+    ("n 2 wmax inf model insert-only\n", "line 1: wmax must be >= 1, got inf"),
+])
+def test_estimate_stream_refusals(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.stream"
+    path.write_text(text)
+    assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == f"wmstream: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("estimator=exact\nrows=2\n", "suite block needs at least family= and estimator="),
+    ("family=grid\nrows=2\n", "suite block needs at least family= and estimator="),
+    ("family=grid\nestimator=magic\n", "unknown estimator 'magic'"),
+    ("family=grid\nestimator=exact\nrows 2\n", "line 3: expected key=value, got 'rows 2'"),
+])
+def test_eval_suite_refusals(tmp_path, capsys, text, message):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(text)
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"wmstream: {message}\n"
+    assert not out.exists()
+
+
+# --- the verdict path: a failed check exits 5 and still writes its output ----
+
+def test_eval_invariant_failure_writes_every_row_and_exits_5(tmp_path, capsys, monkeypatch):
+    real = reduction.check_lemma1
+    monkeypatch.setattr(reduction, "check_lemma1",
+                        lambda report: report.estimator != "greedy" and real(report))
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n\n"
+                     "family=grid\nrows=2\ncols=2\nestimator=greedy\n")
+    out = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 5
+    exact, greedy = csv.DictReader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#"))
+    assert (exact["status"], exact["lemma1_ok"]) == ("ok", "True")
+    assert (greedy["status"], greedy["lemma1_ok"]) == ("invariant-failure", "False")
+    assert greedy["estimate"] and greedy["oracle_mwm"]
+    assert capsys.readouterr().err == f"eval: {greedy['config']}: invariant-failure\n"
+
+
+def test_estimate_verify_sandwich_violation_writes_the_report_and_exits_5(
+        two_edge_file, tmp_path, capsys, monkeypatch):
+    real = reduction.check_sandwich
+    monkeypatch.setattr(reduction, "check_sandwich",
+                        lambda report, mwm: (*real(report, mwm)[:2], False))
+    out = tmp_path / "report.json"
+    code = main(["estimate", "--stream", two_edge_file, "--epsilon", "1", "--verify",
+                 "--out", str(out)])
+    assert code == 5
+    payload = json.loads(out.read_text())
+    assert (payload["oracle_mwm"], payload["sandwich_ok"]) == (5.0, False)
+    assert capsys.readouterr().err == "wmstream: approximation sandwich violated\n"
+
+
+# --- the report is encoded straight into its file ----------------------------
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_estimate_report_bytes_are_json_dumps_with_a_newline(tmp_path, capsys, to_file):
+    stream = tmp_path / "one.stream"
+    stream.write_text("n 2 wmax 4 model insert-only\n+ 1 2 3\n")
+    out = tmp_path / "report.json"
+    args = ["estimate", "--stream", str(stream), "--epsilon", "0.01", "--estimator", "greedy",
+            "--verify"] + (["--out", str(out)] if to_file else [])
+    assert main(args) == 0
+    written = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+    header, updates = wmstream.parse_stream(stream.read_bytes())
+    report = wmstream.run(header, updates, 0.01, 0.1, "greedy")
+    _, bound, ok = wmstream.check_sandwich(report, 3.0)
+    payload = wmstream.report_to_dict(report)
+    payload.update(oracle_mwm=3.0, bound=bound, sandwich_ok=ok)
+    assert written == json.dumps(payload, indent=2) + "\n"
+
+
+def test_estimate_report_peak_memory_stays_below_the_joined_text(tmp_path):
+    # eps 5e-5 gives 27,728 levels and a 4.5 MiB report; encoding it into
+    # one string before writing it would peak near 50 MiB
+    stream = tmp_path / "one.stream"
+    stream.write_text("n 2 wmax 4 model insert-only\n+ 1 2 3\n")
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["estimate", "--stream", str(stream), "--epsilon", "5e-5",
+                     "--estimator", "greedy", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4 * 2**20
+    assert peak < 20 * 2**20

@@ -374,3 +374,19 @@ def test_check_sandwich_estimate_above_mwm_fails():
     ratio, _, ok = _sandwich(5.0, 4.0)
     assert ratio == 0.8
     assert not ok
+
+
+def test_combine_refuses_the_wrong_number_of_estimates():
+    schedule = build_schedule(1.0, 4.0)  # levels 0..2
+    with pytest.raises(ParameterError, match=r"^expected 3 estimates, got 2$") as info:
+        combine(schedule, [1.0, 1.0])
+    assert info.value.exit_code == 2
+
+
+def test_check_observations_rejects_a_wrong_b_and_a_wrong_a_on_their_own():
+    report = combined_report(build_schedule(1.0, 4.0), [2.0, 1.0, 1.0])
+    top, mid, low = report.levels
+    wrong_b = mid._replace(b=mid.b + 1)  # a still the weighted suffix sum
+    wrong_a = mid._replace(a=mid.a * 2 + 1.0)  # b still the suffix sum
+    assert not check_observations(report._replace(levels=(top, wrong_b, low)))
+    assert not check_observations(report._replace(levels=(top, wrong_a, low)))

@@ -183,3 +183,11 @@ def test_replay_order_insensitive_for_inserts(stream, rng):
     shuffled = list(updates)
     rng.shuffle(shuffled)
     assert replay(header, shuffled).edges == replay(header, updates).edges
+
+
+def test_replay_refuses_a_delete_in_an_insert_only_stream_built_in_code():
+    header = StreamHeader(2, 1.0, INSERT_ONLY)
+    updates = [StreamUpdate(INSERT, 1, 2, 1.0), StreamUpdate(DELETE, 1, 2, 1.0)]
+    with pytest.raises(StreamError, match=r"^delete in insert-only stream$") as info:
+        replay(header, updates)
+    assert info.value.exit_code == 2
