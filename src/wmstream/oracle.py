@@ -10,10 +10,13 @@ and both return the lexicographically smallest optimal witness:
 - ``exact_mwm`` runs a forward dynamic program. Its states are the used
   vertices that a later edge still touches, so its cost follows the width of
   that frontier rather than the 2^m include/exclude choices.
-- ``exact_mcm`` keeps the include/exclude branch-and-bound. On unit weights
-  its floor(|V|/2) ceiling ends the search at the first matching that large,
-  an early stop the dynamic program has no counterpart for. It also
-  cross-checks the dynamic program in the tests.
+- ``exact_mcm`` runs an include/exclude branch-and-bound that counts edges
+  and reads no weight. Its floor(|V|/2) ceiling ends the search at the first
+  matching that large, an early stop the dynamic program has no counterpart
+  for.
+
+The weighted branch-and-bound that the dynamic program is checked against
+lives with the tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
 
 
 def exact_mcm(snapshot: GraphSnapshot) -> OracleResult:
-    """Maximum cardinality matching: the branch-and-bound on the
-    unit-weighted graph, which stops once no matching can be larger."""
+    """Maximum cardinality matching by the branch-and-bound, which stops
+    once no matching can be larger. The witness carries unit weights."""
     unit = sorted((u, v, 1.0) for u, v, _ in snapshot.edges)
-    value, witness = _mwm_search(unit)
-    return OracleResult(int(value), witness)
+    size, witness = _mcm_search(unit)
+    return OracleResult(size, witness)
 
 
 def check_oracle_cap(edges) -> None:
@@ -94,41 +97,30 @@ def _mwm_frontier(edges):
     return value, tuple(e for i, e in enumerate(edges) if chosen >> (m - 1 - i) & 1)
 
 
-def _mwm_search(edges):
+def _mcm_search(edges):
+    """(size, witness) of a maximum cardinality matching of the sorted
+    edges, the lexicographically smallest of that size."""
     check_oracle_cap(edges)
-    if not edges:
-        return 0.0, ()
     masks = _edge_masks(edges)
-    weights = [w for _, _, w in edges]
     m = len(edges)
-    suffix = [0.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-
-    # A matching has at most |V| // 2 edges, so none outweighs the heaviest
-    # that many; a best value reaching it cannot be improved.
-    vertex_count = len({x for u, v, _ in edges for x in (u, v)})
-    ceiling = sum(sorted(weights, reverse=True)[: vertex_count // 2])
-    best_val = 0.0
-    best_wit: tuple[int, ...] = ()
+    # A matching has at most |V| // 2 edges; one that large cannot be improved.
+    ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2
+    best: tuple[int, ...] = ()
 
     # Include-first DFS over sorted edges visits witnesses in lexicographic
     # order, so keeping the first strict improvement yields the canonical
     # (lexicographically smallest) optimum.
-    stack = [(0, 0, 0.0, ())]
+    stack = [(0, 0, ())]
     while stack:
-        idx, used, val, chosen = stack.pop()
-        if val > best_val:
-            best_val = val
-            best_wit = chosen
-            if best_val >= ceiling:
+        idx, used, chosen = stack.pop()
+        if len(chosen) > len(best):
+            best = chosen
+            if len(best) >= ceiling:
                 break
-        if idx == m or val + suffix[idx] <= best_val:
+        if idx == m or len(chosen) + m - idx <= len(best):
             continue
         # pushed in reverse so the include branch is explored first
-        stack.append((idx + 1, used, val, chosen))
+        stack.append((idx + 1, used, chosen))
         if not masks[idx] & used:
-            stack.append(
-                (idx + 1, used | masks[idx], val + weights[idx], chosen + (idx,))
-            )
-    return best_val, tuple(edges[i] for i in best_wit)
+            stack.append((idx + 1, used | masks[idx], chosen + (idx,)))
+    return len(best), tuple(edges[i] for i in best)

@@ -17,9 +17,9 @@ from wmstream import (
     replay,
 )
 from wmstream.estimators import EXACT_OFFLINE
+from wmstream.oracle import MAX_ORACLE_EDGES, check_oracle_cap
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
-ORACLE_EDGE_CAP = 24
 MAX_ARBORICITY_VERTICES = 12
 
 
@@ -76,7 +76,7 @@ def corpus_instances():
     out = []
     for config in corpus_configs():
         header, updates = generate(config)
-        if len(replay(header, updates).edges) <= ORACLE_EDGE_CAP:
+        if len(replay(header, updates).edges) <= MAX_ORACLE_EDGES:
             out.append((config, header, updates))
     return out
 
@@ -118,6 +118,52 @@ def arboricity(snapshot: GraphSnapshot) -> int:
         inside = sum(1 for em in edge_masks if em & mask == em)
         best = max(best, ceil(inside / (size - 1)))
     return best
+
+
+# --- the weighted branch-and-bound, the reference for the exact oracles -------
+
+
+def _mwm_search(edges):
+    """(value, witness) of a maximum weight matching of the sorted edges,
+    the lexicographically smallest optimum, by an include-first
+    branch-and-bound. On unit weights it is ``exact_mcm``'s search."""
+    check_oracle_cap(edges)
+    if not edges:
+        return 0.0, ()
+    bit = {x: i for i, x in enumerate(sorted({x for u, v, _ in edges for x in (u, v)}))}
+    masks = [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
+    weights = [w for _, _, w in edges]
+    m = len(edges)
+    suffix = [0.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i]
+
+    # A matching has at most |V| // 2 edges, so none outweighs the heaviest
+    # that many; a best value reaching it cannot be improved.
+    ceiling = sum(sorted(weights, reverse=True)[: len(bit) // 2])
+    best_val = 0.0
+    best_wit: tuple[int, ...] = ()
+
+    # Include-first DFS over sorted edges visits witnesses in lexicographic
+    # order, so keeping the first strict improvement yields the canonical
+    # (lexicographically smallest) optimum.
+    stack = [(0, 0, 0.0, ())]
+    while stack:
+        idx, used, val, chosen = stack.pop()
+        if val > best_val:
+            best_val = val
+            best_wit = chosen
+            if best_val >= ceiling:
+                break
+        if idx == m or val + suffix[idx] <= best_val:
+            continue
+        # pushed in reverse so the include branch is explored first
+        stack.append((idx + 1, used, val, chosen))
+        if not masks[idx] & used:
+            stack.append(
+                (idx + 1, used | masks[idx], val + weights[idx], chosen + (idx,))
+            )
+    return best_val, tuple(edges[i] for i in best_wit)
 
 
 # --- single-level references for the nested estimators ------------------------

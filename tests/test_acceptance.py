@@ -7,6 +7,7 @@ import math
 import random
 import time
 
+import networkx as nx
 import pytest
 
 from wmstream import (
@@ -16,6 +17,7 @@ from wmstream import (
     check_lemma1,
     check_lemma2,
     check_observations,
+    check_sandwich,
     dynamify,
     exact_mcm,
     exact_mwm,
@@ -26,6 +28,7 @@ from wmstream import (
 )
 from wmstream.cli import main
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
+from wmstream.oracle import MAX_ORACLE_EDGES
 
 from helpers import arboricity, combined_report, corpus_instances, snapshot_stream
 
@@ -95,6 +98,32 @@ def test_criterion_2_sandwich_greedy(greedy_reports):
             g = state.s_hat
             assert g <= mcm <= 2 * g or (g == 0 and mcm == 0), config.summary()
     _announce(2, f"{len(greedy_reports)} runs", started)
+
+
+# One seeded graph per family, of 1k-1.7k edges: past the exact oracle's cap
+PAST_CAP_CONFIGS = (
+    GenConfig(family="forest-union", n=500, nu=3, wmax=64.0, order="shuffled", seed=1),
+    GenConfig(family="erdos-renyi", n=200, p=0.05, weights="powerlaw", wmax=64.0,
+              order="shuffled", seed=2),
+    GenConfig(family="grid", rows=30, cols=30, wmax=64.0, order="shuffled", seed=3),
+)
+
+
+@pytest.mark.parametrize("config", PAST_CAP_CONFIGS, ids=lambda c: c.family)
+def test_greedy_guarantee_past_the_oracle_cap(config):
+    # networkx's weighted blossom algorithm stands in for exact_mwm here
+    header, updates = generate(config)
+    snap = replay(header, updates)
+    assert len(snap.edges) > MAX_ORACLE_EDGES
+    graph = nx.Graph()
+    graph.add_weighted_edges_from(snap.edges)
+    mwm = sum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
+    for epsilon in EPSILONS:
+        report = run(header, updates, epsilon, 0.1, GREEDY)
+        ratio, bound, ok = check_sandwich(report, mwm)
+        assert ok, (config.summary(), epsilon, ratio, bound)
+        assert check_lemma1(report), (config.summary(), epsilon)
+        assert check_observations(report), (config.summary(), epsilon)
 
 
 def test_criterion_3_lemma1(exact_reports, greedy_reports):

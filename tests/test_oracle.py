@@ -4,14 +4,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import arboricity
+from helpers import _mwm_search, arboricity
 from wmstream import (
     CapacityError,
     GraphSnapshot,
     exact_mcm,
     exact_mwm,
 )
-from wmstream.oracle import MAX_ORACLE_EDGES, _mwm_search
+from wmstream.oracle import MAX_ORACLE_EDGES
 
 
 def snap(n, edges):
@@ -195,8 +195,14 @@ def small_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_mwm_frontier_matches_the_branch_and_bound(edges):
-    result = exact_mwm(GraphSnapshot(10, tuple(edges)))
+    graph = GraphSnapshot(10, tuple(edges))
+    result = exact_mwm(graph)
     assert (result.value, result.witness) == _mwm_search(edges)
+    # exact_mcm's cardinality search against the weighted one on unit weights
+    value, witness = _mwm_search([(u, v, 1.0) for u, v, _ in edges])
+    mcm = exact_mcm(graph)
+    assert (mcm.value, mcm.witness) == (value, witness)
+    assert type(mcm.value) is int
 
 
 def _two_layer():
