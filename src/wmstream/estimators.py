@@ -81,24 +81,16 @@ def _refusal(est, u: int, v: int, top: int) -> WmStreamError:
 
 def _bit_counts(masks, width: int) -> list[int]:
     """For each bit position below ``width``, how many masks have it set.
-    The counts are kept bit-sliced, ``planes[j]`` holding bit j of every
-    position's count, so adding a mask is a ripple carry of a few big-int
-    operations instead of one step per position; each plane is then read
-    once, as a binary string."""
-    planes: list[int] = []
-    for carry in masks:
-        j = 0
-        while carry:
-            if j == len(planes):
-                planes.append(0)
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            j += 1
-    counts = [0] * width
-    for j, plane in enumerate(planes):
-        for i, bit in enumerate(bin(plane)[:1:-1][:width]):  # bit i at index i
-            if bit == "1":
-                counts[i] += 1 << j
-    return counts
+    Each mask is a little-endian row of ``size`` bytes; byte column j of the
+    rows, read as one int, holds byte j of every mask, so bit i of every
+    mask is bit i & 7 of each byte of column i >> 3, counted by one
+    popcount. Zero masks count nothing and are left out, which bounds the
+    rows by the matched vertices rather than by n."""
+    size = (width + 7) // 8
+    rows = b"".join(m.to_bytes(size, "little") for m in masks if m)
+    columns = [int.from_bytes(rows[j::size], "little") for j in range(size)]
+    ones = int.from_bytes(b"\1" * (len(rows) // size), "little")  # bit 0 of each row
+    return [(columns[i >> 3] >> (i & 7) & ones).bit_count() for i in range(width)]
 
 
 class ExactOfflineEstimator:

@@ -151,7 +151,8 @@ def _validate(config: GenConfig) -> None:
 
 
 def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
-    """Produce a stream, dynamic when churn > 0; deterministic per (config, seed).
+    """Produce a stream, deterministic per (config, seed): dynamic unless
+    ``dynamify`` churns no edge (``round(churn * m) == 0`` for m edges).
     ``dynamify`` checks the churn, the last of the checks."""
     _validate(config)
     rng = random.Random(config.seed)
@@ -170,7 +171,8 @@ def dynamify(
     seed: int,
 ) -> tuple[StreamHeader, list[StreamUpdate]]:
     """Turn an insertion-only stream into a dynamic one by giving a churn
-    fraction of edges a delete + re-insert pair at random later positions.
+    fraction of edges a delete + re-insert pair at random later positions;
+    when ``round(churn * m)`` is 0 it comes back unchanged and insert-only.
     The replayed final snapshot is unchanged. O(m log m) for m updates."""
     if not (0.0 <= churn <= 1.0):
         raise ParameterError(f"churn must be in [0, 1], got {churn}")

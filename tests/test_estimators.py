@@ -330,7 +330,12 @@ def _nested_vs_reference(kind, schedule, n, stream):
 
 
 @pytest.mark.parametrize("kind", [GREEDY, EXACT_OFFLINE])
-@pytest.mark.parametrize("epsilon,wmax", [(0.1, 64.0), (0.5, 16.0), (1.0, 5.0), (0.3, 1.0)])
+# levels + 1 is 45, 8, 4, 1, and then 9 and 17: the top level one bit past a
+# byte boundary, where the greedy masks need one more byte
+@pytest.mark.parametrize(
+    "epsilon,wmax",
+    [(0.1, 64.0), (0.5, 16.0), (1.0, 5.0), (0.3, 1.0), (1.0, 200.0), (0.5, 500.0)],
+)
 def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
     schedule = build_schedule(epsilon, wmax)
     rng = random.Random(f"{kind}/{epsilon}/{wmax}")
@@ -339,6 +344,35 @@ def test_nested_estimator_matches_per_level_reference(kind, epsilon, wmax):
         stream = _weighted_stream(rng, schedule, n, rng.randint(0, 40), kind == EXACT_OFFLINE)
         got, want = _nested_vs_reference(kind, schedule, n, stream)
         assert got == want, stream
+
+
+def test_greedy_matches_per_level_reference_on_a_large_stream():
+    # past the exact estimator's cap: 300 vertices, 3,000 distinct inserts, T = 73
+    schedule = build_schedule(0.1, 1024.0)
+    rng = random.Random("greedy/large")
+    pairs = set()
+    while len(pairs) < 3000:
+        u, v = rng.sample(range(1, 301), 2)
+        pairs.add((min(u, v), max(u, v)))
+    stream = [(INSERT, *pair, _weight(rng, schedule)) for pair in rng.sample(sorted(pairs), 3000)]
+    got, want = _nested_vs_reference(GREEDY, schedule, 300, stream)
+    assert got == want
+    # the top threshold, 1.1^73, is above wmax; the level below it is reached
+    assert got[0][0] > got[-2][0] > got[-1][0] == 0
+
+
+def test_greedy_finalize_memory_follows_the_matched_vertices():
+    # a byte row for each of the n + 1 masks would take n * T / 8 bytes (25 MB here)
+    est = make_estimator(GREEDY, 50_000, 0.01, INSERT_ONLY, 4_000)
+    est.update(INSERT, 1, 2, 4_000)
+    tracemalloc.start()
+    try:
+        out = est.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert set(out) == {(1.0, 1)}
 
 
 def _churned_stream(rng, schedule, n, grow, churn):

@@ -36,7 +36,7 @@ def _s_hats(report):
     return [st.s_hat for st in reversed(report.levels)]
 
 
-def test_route_fans_out_to_reachable_levels():
+def test_run_counts_an_edge_on_every_level_it_reaches():
     # thresholds 1, 2, 4: weight 4 reaches levels 0..2, weight 1 only level 0;
     # the edges are disjoint, so each greedy level counts the edges it saw
     header = StreamHeader(4, 4.0, INSERT_ONLY)
@@ -46,7 +46,7 @@ def test_route_fans_out_to_reachable_levels():
     assert _s_hats(run(header, [heavy, light], 1.0, 0.1, GREEDY)) == [2.0, 1.0, 1.0]
 
 
-def test_route_delete_mirrors_insert_levels():
+def test_run_delete_leaves_the_levels_its_insert_reached():
     # weight 3 reaches levels 0..1; the delete must leave exactly those levels:
     # they held the pair at their peak, and every level ends empty
     header = StreamHeader(4, 4.0, DYNAMIC)
