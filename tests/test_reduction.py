@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from wmstream import (
     CapacityError,
     GenConfig,
     ParameterError,
+    RunReport,
+    WeightRangeError,
     build_schedule,
     check_lemma1,
     check_lemma2,
@@ -21,6 +24,7 @@ from wmstream import (
     replay,
     report_to_dict,
     run,
+    top_level,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
 from wmstream.reduction import LevelState
@@ -120,6 +124,57 @@ def test_run_splits_delta_across_levels():
     report = run(header, updates, 1.0, 0.1, EXACT_OFFLINE)
     assert report.delta_prime == pytest.approx(0.1 / 3)
     assert report.estimator == EXACT_OFFLINE
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+@pytest.mark.parametrize("w", [math.nan, math.inf, 0.5, math.nextafter(4.0, math.inf)])
+def test_run_refuses_a_code_built_weight_outside_1_wmax_as_top_level_does(kind, w):
+    # records built in code skip the parser's weight check; run must still
+    # refuse them, with top_level's class and message
+    header = StreamHeader(4, 4.0, INSERT_ONLY)
+    updates = [StreamUpdate("insert", 1, 2, 2.0), StreamUpdate("insert", 3, 4, w)]
+    with pytest.raises(WeightRangeError) as expected:
+        top_level(build_schedule(1.0, header.wmax), w)
+    with pytest.raises(WeightRangeError) as got:
+        run(header, updates, 1.0, 0.1, kind)
+    assert str(got.value) == str(expected.value)
+
+
+def _top_level_routed_report(header, updates, epsilon, delta, kind):
+    """``run`` as a reference: every update routed by ``top_level``."""
+    schedule = build_schedule(epsilon, header.wmax)
+    t = schedule.levels
+    est = make_estimator(kind, header.n, delta / (t + 1), header.model, t)
+    for op, u, v, w in updates:
+        est.update(op, u, v, top_level(schedule, w))
+    estimates = est.finalize()
+    levels = combine(schedule, [e.value for e in estimates])
+    return RunReport(schedule, levels, levels[-1].a, kind, delta, delta / (t + 1),
+                     tuple(e.words_stored for e in estimates))
+
+
+@pytest.mark.parametrize("epsilon,wmax", [(1.0, 4.0), (0.1, 1024.0), (0.3, 7.0), (0.5, 1.0)])
+def test_run_routes_weights_at_and_beside_every_threshold_as_top_level_does(epsilon, wmax):
+    # one disjoint edge per weight, so every level counts exactly the edges
+    # routed to it or above: a weight sent one level off changes the report
+    thresholds = build_schedule(epsilon, wmax).thresholds
+    weights = sorted({
+        x
+        for t in (*thresholds, wmax)
+        for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
+        if 1.0 <= x <= wmax
+    })
+    inserts = [StreamUpdate("insert", 2 * i + 1, 2 * i + 2, w) for i, w in enumerate(weights)]
+    n = 2 * len(weights)
+    cases = [(StreamHeader(n, wmax, INSERT_ONLY), inserts, GREEDY)]
+    for start in range(0, len(inserts), 24):  # exact finalize's oracle cap
+        chunk = inserts[start:start + 24]
+        deletes = [StreamUpdate("delete", *upd[1:]) for upd in chunk[::3]]
+        cases += [(StreamHeader(n, wmax, INSERT_ONLY), chunk, EXACT_OFFLINE),
+                  (StreamHeader(n, wmax, DYNAMIC), chunk + deletes, EXACT_OFFLINE)]
+    for header, updates, kind in cases:
+        expected = _top_level_routed_report(header, updates, epsilon, 0.1, kind)
+        assert run(header, updates, epsilon, 0.1, kind) == expected
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0])
