@@ -35,31 +35,46 @@ CSV_COLUMNS = [
 
 def _read_stream(path: str):
     with open(path, "rb") as fh:
-        return stream_io.parse_stream(fh.read())
+        return stream_io.parse_stream(fh)
 
 
-def _write(content: str | dict, path: str | None = None) -> None:
-    """Write ``content`` to the file at ``path``, or to stdout without one. A
-    dict goes as indented JSON and a newline, encoded into the file as it is built."""
+def _write(content: str | typing.Iterable[str], path: str | None = None) -> None:
+    """Write ``content``, one str or each str of an iterable in turn, to the
+    file at ``path``, or to stdout without one."""
     with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
-        if isinstance(content, dict):
-            json.dump(content, fh, indent=2)
-            content = "\n"
-        fh.write(content)
+        fh.writelines([content] if isinstance(content, str) else content)
+
+
+def _report_json(report: reduction.RunReport, verify: dict) -> typing.Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\\n"``, where payload is
+    ``report_to_dict(report)`` followed by the ``verify`` keys, one level at a
+    time: the indenting encoder is pure Python, and a long schedule's report
+    would spend seconds in it. Every level value is an int or a finite
+    float, and JSON spells a finite float as repr does."""
+    head = reduction.report_to_dict(report._replace(levels=()))
+    del head["levels"]
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "levels": [\n'
+    thresholds = report.schedule.thresholds
+    sep = ""
+    for i, s_hat, m_hat, delta_i, b, a in report.levels:
+        yield (f'{sep}    {{\n      "i": {i},\n      "threshold": {thresholds[i]!r},\n'
+               f'      "s_hat": {s_hat!r},\n      "m_hat": {m_hat!r},\n'
+               f'      "delta_i": {delta_i},\n      "b": {b},\n      "a": {a!r}\n    }}')
+        sep = ",\n"
+    yield "\n  ]" + ("," + json.dumps(verify, indent=2)[1:] if verify else "\n}") + "\n"
 
 
 def cmd_estimate(args) -> int:
     header, updates = _read_stream(args.stream)
     report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
-    payload = reduction.report_to_dict(report)
-
+    verify = {}
     if args.verify:
         result = oracle.exact_mwm(stream_io.replay(header, updates))
         _, bound, ok = reduction.check_sandwich(report, result.value)
-        payload.update(oracle_mwm=result.value, bound=bound, sandwich_ok=ok)
+        verify = {"oracle_mwm": result.value, "bound": bound, "sandwich_ok": ok}
 
-    _write(payload, args.out)
-    if args.verify and not payload["sandwich_ok"]:
+    _write(_report_json(report, verify), args.out)
+    if verify and not verify["sandwich_ok"]:
         raise InvariantError("approximation sandwich violated")
     return 0
 
@@ -72,7 +87,7 @@ def cmd_oracle(args) -> int:
     header, updates = _read_stream(args.stream)
     result = _ORACLE_MODES[args.mode](stream_io.replay(header, updates))
     payload = {"mode": args.mode, "value": result.value, "witness": list(result.witness)}
-    _write(payload)
+    _write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

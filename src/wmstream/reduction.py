@@ -16,6 +16,7 @@ and the final estimate is a[0].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
@@ -86,19 +87,28 @@ def run(
     delta: float,
     estimator_kind: str,
 ) -> RunReport:
-    """One-pass end-to-end run: schedule, estimate every level, combine."""
+    """One-pass end-to-end run: schedule, estimate every level, combine.
+
+    Each update goes to the estimator once, with its top level: the count of
+    thresholds above 1.0 that its weight meets, as ``top_level`` decides. A
+    weight outside [1, wmax], nan included, is refused by ``top_level``
+    with its WeightRangeError."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     schedule = build_schedule(epsilon, header.wmax)
     t = schedule.levels
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
+    update, wmax, above = est.update, schedule.wmax, schedule.thresholds[1:]
     for op, u, v, w in updates:
-        est.update(op, u, v, top_level(schedule, w))
-    estimates = est.finalize()
-    levels = combine(schedule, [e.value for e in estimates])
+        if not 1.0 <= w <= wmax:
+            top_level(schedule, w)
+        update(op, u, v, bisect_right(above, w))
+    # McmEstimate(value, words_stored) per level, unzipped so they go before combine
+    s_hats, level_words = zip(*est.finalize())
+    levels = combine(schedule, s_hats)
     return RunReport(schedule, levels, levels[-1].a, estimator_kind, delta, delta_prime,
-                     tuple(e.words_stored for e in estimates))
+                     level_words)
 
 
 def check_lemma1(report: RunReport) -> bool:

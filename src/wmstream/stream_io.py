@@ -8,8 +8,11 @@ Format (UTF-8, LF):
 
 from __future__ import annotations
 
+import gc
+import io
 import math
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, StreamError
 
@@ -21,6 +24,8 @@ DELETE = "delete"
 
 _OP_CHARS = {"+": INSERT, "-": DELETE}
 _OP_TO_CHAR = {op: char for char, op in _OP_CHARS.items()}
+
+_BLOCK = 1 << 16  # bytes read at a time from an open file
 
 
 class StreamHeader(NamedTuple):
@@ -49,31 +54,87 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def decode_text(text: str | bytes, what: str) -> str:
-    """``text`` as a str; bytes must be UTF-8, or a ParseError names ``what``."""
-    if isinstance(text, bytes):
-        try:
-            return text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{what} is not UTF-8: {exc}") from None
-    return text
+def decode_text(text: str | bytes, what: str, offset: int = 0) -> str:
+    """``text`` as a str; bytes must be UTF-8, or a ParseError names ``what``
+    and the bad bytes' position, counted from ``offset`` for a piece that
+    starts there in a larger text. The message is the codec's own."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        first, last = offset + exc.start, offset + exc.end - 1
+        where = (f"byte 0x{text[exc.start]:02x} in position {first}" if first == last
+                 else f"bytes in position {first}-{last}")
+        raise ParseError(
+            f"{what} is not UTF-8: '{exc.encoding}' codec can't decode {where}: {exc.reason}"
+        ) from None
 
 
-def parse_stream(text: str | bytes):
-    """Parse a stream file into (header, updates), checking each update line
-    against the header as it is read, then the multiset rules: no duplicate
-    inserts, deletes of absent edges, or deletes whose weight differs from
-    the matching insert."""
-    text = decode_text(text, "stream")
+def parse_stream(source: str | bytes | BinaryIO):
+    """Parse a stream into (header, updates) in one pass. ``source`` is the
+    text, its UTF-8 bytes, or an open binary file, which is read in blocks of
+    ``_BLOCK`` bytes so that only one block's lines are held beside the
+    records. Each update line is checked against the header as it is read,
+    and then at once against the multiset rules of ``_live_edges``, so a
+    multiset error on an earlier line is reported before a line error on a
+    later one."""
+    lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     header = None
+    for lineno, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            header = _parse_header(line, lineno)
+            break
+    if header is None:
+        raise ParseError("missing header line")
     updates: list[StreamUpdate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # The records hold no reference cycles, so the collector would only walk
+    # them over and over as the list grows.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        _live_edges(header, _checked_records(header, lines, updates.append))
+    finally:
+        if collecting:
+            gc.enable()
+    return header, updates
+
+
+def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
+    """The text of ``source`` in pieces that each end at a LF, but the last.
+    A LF byte ends a line under ``str.splitlines`` and is never part of a
+    multi-byte UTF-8 sequence, so the pieces decode and split into the same
+    lines as the whole text."""
+    if isinstance(source, str):
+        yield source
+        return
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    pending: list[bytes] = []  # read since the last LF
+    offset = 0
+    while block := source.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            piece = b"".join([*pending, block[:cut]])
+            pending = []
+            yield decode_text(piece, "stream", offset)
+            offset += len(piece)
+        pending.append(block[cut:])
+    piece = b"".join(pending)
+    if piece:
+        yield decode_text(piece, "stream", offset)
+
+
+def _checked_records(
+    header: StreamHeader, lines: Iterator[tuple[int, str]], keep
+) -> Iterator[StreamUpdate]:
+    """Each update line of ``lines`` as a record, checked against the header;
+    ``keep`` receives every record before it is yielded."""
+    n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = _parse_header(line, lineno)
-            n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
             continue
         parts = line.split()
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
@@ -90,12 +151,9 @@ def parse_stream(text: str | bytes):
             raise ParseError(f"self-loop in {line!r}", lineno)
         if not (math.isfinite(w) and 1.0 <= w <= wmax):
             raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
-        updates.append(StreamUpdate(op, u, v, w))
-
-    if header is None:
-        raise ParseError("missing header line")
-    _live_edges(header, updates)
-    return header, updates
+        record = StreamUpdate(op, u, v, w)
+        keep(record)
+        yield record
 
 
 def _parse_header(line: str, lineno: int) -> StreamHeader:
@@ -128,10 +186,12 @@ def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapsh
     return GraphSnapshot(header.n, tuple(edges))
 
 
-def _live_edges(header: StreamHeader, updates: Sequence[StreamUpdate]) -> dict:
+def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
     """Live edges after the updates, keyed by ``u*(n+1)+v`` with u < v and
-    mapped to the weight; strict multiset rules. Each update's pair is
-    checked before it is packed, so that no bad id can alias another pair."""
+    mapped to the weight; strict multiset rules, the only home of those
+    rules. ``updates`` is consumed once, in order, so ``parse_stream`` feeds
+    it the records as their lines are read. Each update's pair is checked
+    before it is packed, so that no bad id can alias another pair."""
     n = header.n
     size = n + 1
     present: dict[int, float] = {}

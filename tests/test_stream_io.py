@@ -1,3 +1,8 @@
+import gc
+import io
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +17,8 @@ from wmstream import (
     replay,
     serialize,
 )
+from wmstream import stream_io
+from wmstream.cli import main
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
 
 from helpers import snapshot_stream
@@ -191,3 +198,161 @@ def test_replay_refuses_a_delete_in_an_insert_only_stream_built_in_code():
     with pytest.raises(StreamError, match=r"^delete in insert-only stream$") as info:
         replay(header, updates)
     assert info.value.exit_code == 2
+
+
+# --- block ingest from an open file -------------------------------------------
+
+SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+
+def _block_stream(blocks: int, tail: bytes) -> bytes:
+    """A valid dynamic stream on vertices 1..38 that fills ``blocks`` read
+    blocks, followed by ``tail``. Its lines end in every separator that
+    ``str.splitlines`` knows, with comments, blank lines and multi-byte
+    UTF-8 between them. The last LF before each block boundary follows a
+    two-byte character, and a four-byte one straddles the boundary."""
+    rng = random.Random(5)
+    size = stream_io._BLOCK
+    out = bytearray("# wmstream ✓ 𝄞 é\u2028\nn 40 wmax 8 model dynamic\r\n".encode())
+    live: dict[tuple[int, int], int] = {}
+
+    def line() -> str:
+        pick = rng.random()
+        if pick < 0.05:
+            return "# comment é ✓ 𝄞"
+        if pick < 0.1:
+            return "  "
+        if live and pick < 0.4:
+            (u, v), w = live.popitem()
+            return f"- {v} {u} {w}"
+        u, v = rng.sample(range(1, 39), 2)
+        if (u, v) in live or (v, u) in live:
+            return "# taken"
+        live[u, v] = rng.randint(1, 8)
+        return f"+ {u} {v} {live[u, v]}"
+
+    for k in range(1, blocks + 1):
+        while len(out) < k * size - 200:
+            out += (line() + rng.choice(SEPARATORS)).encode()
+        out += ("#" + "x" * (k * size - 6 - len(out)) + "é\n").encode()  # LF at k*size - 3
+        out += "#𝄞 across the block boundary\u2028\n".encode()
+        assert out.index("𝄞".encode(), k * size - 3) == k * size - 1
+    return bytes(out) + tail
+
+
+def test_an_open_file_parses_as_its_bytes_and_its_text():
+    # the last line is longer than a block and has no LF
+    data = _block_stream(3, ("+ 39 40 3\r# " + "é" * stream_io._BLOCK + "\x0c- 40 39 3").encode())
+    assert len(data) > 4 * stream_io._BLOCK
+    from_file = parse_stream(io.BufferedReader(io.BytesIO(data)))
+    assert from_file == parse_stream(data) == parse_stream(data.decode("utf-8"))
+    header, updates = from_file
+    assert header == StreamHeader(40, 8.0, DYNAMIC)
+    assert len(updates) > 10_000
+    assert updates[-2:] == [(INSERT, 39, 40, 3.0), (DELETE, 40, 39, 3.0)]
+
+
+def _parse_error(source):
+    with pytest.raises((ParseError, StreamError)) as info:
+        parse_stream(source)
+    exc = info.value
+    return type(exc), exc.exit_code, getattr(exc, "line", None), str(exc)
+
+
+@pytest.mark.parametrize("bad,kind,message", [
+    ("+ 1 2 x", ParseError, "bad update fields in '+ 1 2 x'"),
+    ("+ 39 41 3", ParseError, "vertex out of range in '+ 39 41 3'"),
+    ("+ 40 39 1\n+ 39 40 1", StreamError, "duplicate insert of edge (39, 40)"),
+    ("- 40 39 1", StreamError, "delete of absent edge (39, 40)"),
+    ("+ 40 39 1\n- 39 40 2", StreamError, "delete weight 2.0 != inserted weight 1.0 for edge (39, 40)"),
+])
+def test_errors_past_the_first_block_keep_their_class_exit_code_and_line(bad, kind, message):
+    data = _block_stream(2, f"{bad}\n# after\n".encode())
+    if kind is ParseError:
+        line = len(data.decode("utf-8").splitlines()) - 1
+        want = (kind, 2, line, f"line {line}: {message}")
+    else:  # a multiset error carries no line number
+        want = (kind, 2, None, message)
+    assert _parse_error(io.BytesIO(data)) == _parse_error(data) == want
+    assert _parse_error(data.decode("utf-8")) == want
+
+
+@pytest.mark.parametrize("blocks", [0, 2])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82(", b"\xe2\x82"])
+def test_a_non_utf8_byte_is_placed_in_the_whole_file(bad, blocks):
+    data = _block_stream(blocks, b"# " + bad)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start > blocks * stream_io._BLOCK
+    assert f"position {whole.value.start}" in str(whole.value)
+    want = (ParseError, 2, None, f"stream is not UTF-8: {whole.value}")
+    assert _parse_error(io.BytesIO(data)) == _parse_error(data) == want
+
+
+def test_a_multiset_error_is_reported_before_a_line_error_on_a_later_line(tmp_path, capsys):
+    # the one order that one-pass checking changes: the duplicate on line 3
+    # now wins over the out-of-range vertex on line 4; both exit 2
+    text = "n 3 wmax 4 model insert-only\n+ 1 2 3\n+ 2 1 3\n+ 1 9 3\n"
+    assert _parse_error(text) == (StreamError, 2, None, "duplicate insert of edge (1, 2)")
+    path = tmp_path / "two-errors.stream"
+    path.write_text(text)
+    assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == "wmstream: duplicate insert of edge (1, 2)\n"
+
+
+def test_parsing_an_open_file_holds_little_beyond_its_records(tmp_path):
+    # a churned stream that drains to a few live edges: the records are all
+    # that grows with its length. Reading the whole file, its text and its
+    # line list at once would add about 5 MiB here on top of them.
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(1, 301) for v in range(u + 1, 301)]
+    rng.shuffle(pairs)
+    lines = ["n 300 wmax 1024 model dynamic"]
+    for i, (u, v) in enumerate(pairs[:30_000]):
+        lines.append(f"+ {u} {v} {(u * v) % 1024 + 1}")
+        if i >= 50:
+            a, b = pairs[i - 50]
+            lines.append(f"- {b} {a} {(a * b) % 1024 + 1}")
+    path = tmp_path / "churn.stream"
+    path.write_text("\n".join(lines) + "\n")
+    del lines, pairs
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            header, updates = parse_stream(fh)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(updates) == 59_950
+    assert len(replay(header, updates).edges) == 50
+    assert peak - held < 2**20
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_paused_while_parsing_and_then_restored(enabled):
+    # 4,950 records: unpaused, the collector would run once per 700 of them
+    text = "n 100 wmax 4 model insert-only\n" + "".join(
+        f"+ {u} {v} 2\n" for u in range(1, 101) for v in range(u + 1, 101))
+    collections = []
+    was = gc.isenabled()
+
+    def parse(source):
+        callback = lambda phase, info: collections.append(phase)  # noqa: E731
+        gc.callbacks.append(callback)
+        try:
+            return parse_stream(source)
+        finally:
+            gc.callbacks.remove(callback)
+
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(parse(text)[1]) == 4950
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            parse(text + "+ 1 2 x\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # at most one per call, started by the first allocation after the restore
+    assert collections.count("start") <= (2 if enabled else 0)
