@@ -45,25 +45,6 @@ def _write(content: str | typing.Iterable[str], path: str | None = None) -> None
         fh.writelines([content] if isinstance(content, str) else content)
 
 
-def _report_json(report: reduction.RunReport, verify: dict) -> typing.Iterator[str]:
-    """The text of ``json.dumps(payload, indent=2) + "\\n"``, where payload is
-    ``report_to_dict(report)`` followed by the ``verify`` keys, one level at a
-    time: the indenting encoder is pure Python, and a long schedule's report
-    would spend seconds in it. Every level value is an int or a finite
-    float, and JSON spells a finite float as repr does."""
-    head = reduction.report_to_dict(report._replace(levels=()))
-    del head["levels"]
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "levels": [\n'
-    thresholds = report.schedule.thresholds
-    sep = ""
-    for i, s_hat, m_hat, delta_i, b, a in report.levels:
-        yield (f'{sep}    {{\n      "i": {i},\n      "threshold": {thresholds[i]!r},\n'
-               f'      "s_hat": {s_hat!r},\n      "m_hat": {m_hat!r},\n'
-               f'      "delta_i": {delta_i},\n      "b": {b},\n      "a": {a!r}\n    }}')
-        sep = ",\n"
-    yield "\n  ]" + ("," + json.dumps(verify, indent=2)[1:] if verify else "\n}") + "\n"
-
-
 def cmd_estimate(args) -> int:
     header, updates = _read_stream(args.stream)
     report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
@@ -73,7 +54,7 @@ def cmd_estimate(args) -> int:
         _, bound, ok = reduction.check_sandwich(report, result.value)
         verify = {"oracle_mwm": result.value, "bound": bound, "sandwich_ok": ok}
 
-    _write(_report_json(report, verify), args.out)
+    _write(reduction.report_json(report, verify), args.out)
     if verify and not verify["sandwich_ok"]:
         raise InvariantError("approximation sandwich violated")
     return 0

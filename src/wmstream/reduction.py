@@ -15,9 +15,9 @@ and the final estimate is a[0].
 
 from __future__ import annotations
 
+import json
 import math
-from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError
 from .estimators import ESTIMATORS, make_estimator
@@ -89,21 +89,17 @@ def run(
 ) -> RunReport:
     """One-pass end-to-end run: schedule, estimate every level, combine.
 
-    Each update goes to the estimator once, with its top level: the count of
-    thresholds above 1.0 that its weight meets, as ``top_level`` decides. A
-    weight outside [1, wmax], nan included, is refused by ``top_level``
-    with its WeightRangeError."""
+    Each update goes to the estimator once, with the top level that
+    ``top_level`` gives its weight; a weight outside [1, wmax], nan
+    included, is refused there with its WeightRangeError."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     schedule = build_schedule(epsilon, header.wmax)
     t = schedule.levels
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
-    update, wmax, above = est.update, schedule.wmax, schedule.thresholds[1:]
     for op, u, v, w in updates:
-        if not 1.0 <= w <= wmax:
-            top_level(schedule, w)
-        update(op, u, v, bisect_right(above, w))
+        est.update(op, u, v, top_level(schedule, w))
     # McmEstimate(value, words_stored) per level, unzipped so they go before combine
     s_hats, level_words = zip(*est.finalize())
     levels = combine(schedule, s_hats)
@@ -223,3 +219,22 @@ def report_to_dict(report: RunReport) -> dict:
             for st in report.levels
         ],
     }
+
+
+def report_json(report: RunReport, extra: dict) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\\n"``, where payload is
+    ``report_to_dict(report)`` followed by the ``extra`` keys, one level at a
+    time: the indenting encoder is pure Python, and a long schedule's report
+    would spend seconds in it. Every level value is an int or a finite
+    float, and JSON spells a finite float as repr does."""
+    head = report_to_dict(report._replace(levels=()))
+    del head["levels"]
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "levels": [\n'
+    thresholds = report.schedule.thresholds
+    sep = ""
+    for i, s_hat, m_hat, delta_i, b, a in report.levels:
+        yield (f'{sep}    {{\n      "i": {i},\n      "threshold": {thresholds[i]!r},\n'
+               f'      "s_hat": {s_hat!r},\n      "m_hat": {m_hat!r},\n'
+               f'      "delta_i": {delta_i},\n      "b": {b},\n      "a": {a!r}\n    }}')
+        sep = ",\n"
+    yield "\n  ]" + ("," + json.dumps(extra, indent=2)[1:] if extra else "\n}") + "\n"

@@ -78,7 +78,9 @@ def parse_stream(source: str | bytes | BinaryIO):
     records. Each update line is checked against the header as it is read,
     and then at once against the multiset rules of ``_live_edges``, so a
     multiset error on an earlier line is reported before a line error on a
-    later one."""
+    later one. Each block is decoded just before its lines are read, so a
+    line or multiset error in an earlier block is reported before a
+    non-UTF-8 byte in a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     header = None
     for lineno, raw in lines:

@@ -8,15 +8,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import wmstream
 from wmstream import CapacityError, GenConfig, ParseError, generate, make_estimator, serialize
 from wmstream import reduction
-from wmstream import cli
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
-
-from helpers import combined_report
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
@@ -481,31 +477,6 @@ def test_estimate_report_bytes_are_json_dumps_with_a_newline(tmp_path, capsys, t
     payload = wmstream.report_to_dict(report)
     payload.update(oracle_mwm=3.0, bound=bound, sandwich_ok=ok)
     assert written == json.dumps(payload, indent=2) + "\n"
-
-
-@st.composite
-def _reports(draw):
-    wmax = draw(st.one_of(st.just(1.0), st.floats(1.0, 64.0)))  # wmax 1 gives T = 0
-    schedule = wmstream.build_schedule(draw(st.floats(0.05, 1.0)), wmax)
-    width = schedule.levels + 1
-    s_hats = draw(st.lists(st.floats(0.0, 1e6), min_size=width, max_size=width))
-    report = combined_report(schedule, s_hats, draw(st.sampled_from(["greedy", "exact"])))
-    delta = draw(st.floats(0.001, 0.999))
-    words = draw(st.lists(st.integers(0, 2**40), min_size=width, max_size=width))
-    return report._replace(delta=delta, delta_prime=delta / width, level_words=tuple(words))
-
-
-_VERIFY_KEYS = st.one_of(st.just({}), st.fixed_dictionaries({
-    "oracle_mwm": st.floats(0.0, 1e9), "bound": st.floats(2.0, 8.0), "sandwich_ok": st.booleans(),
-}))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_reports(), _VERIFY_KEYS)
-def test_the_report_writer_spells_the_report_as_json_dumps(report, verify):
-    payload = reduction.report_to_dict(report)
-    payload.update(verify)
-    assert "".join(cli._report_json(report, verify)) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_estimate_report_peak_memory_stays_below_the_joined_text(tmp_path):

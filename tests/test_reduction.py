@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wmstream import (
     CapacityError,
@@ -27,7 +27,7 @@ from wmstream import (
     top_level,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
-from wmstream.reduction import LevelState
+from wmstream.reduction import LevelState, report_json
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 
 from helpers import combined_report
@@ -392,6 +392,31 @@ def test_report_json_schema():
     assert list(payload["levels"][0]) == [
         "i", "threshold", "s_hat", "m_hat", "delta_i", "b", "a",
     ]
+
+
+@st.composite
+def _reports(draw):
+    wmax = draw(st.one_of(st.just(1.0), st.floats(1.0, 64.0)))  # wmax 1 gives T = 0
+    schedule = build_schedule(draw(st.floats(0.05, 1.0)), wmax)
+    width = schedule.levels + 1
+    s_hats = draw(st.lists(st.floats(0.0, 1e6), min_size=width, max_size=width))
+    report = combined_report(schedule, s_hats, draw(st.sampled_from(["greedy", "exact"])))
+    delta = draw(st.floats(0.001, 0.999))
+    words = draw(st.lists(st.integers(0, 2**40), min_size=width, max_size=width))
+    return report._replace(delta=delta, delta_prime=delta / width, level_words=tuple(words))
+
+
+_VERIFY_KEYS = st.one_of(st.just({}), st.fixed_dictionaries({
+    "oracle_mwm": st.floats(0.0, 1e9), "bound": st.floats(2.0, 8.0), "sandwich_ok": st.booleans(),
+}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reports(), _VERIFY_KEYS)
+def test_the_report_writer_spells_the_report_as_json_dumps(report, verify):
+    payload = report_to_dict(report)
+    payload.update(verify)
+    assert "".join(report_json(report, verify)) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_greedy_estimator_tracks_space_per_level():

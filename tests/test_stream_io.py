@@ -290,14 +290,37 @@ def test_a_non_utf8_byte_is_placed_in_the_whole_file(bad, blocks):
 
 
 def test_a_multiset_error_is_reported_before_a_line_error_on_a_later_line(tmp_path, capsys):
-    # the one order that one-pass checking changes: the duplicate on line 3
-    # now wins over the out-of-range vertex on line 4; both exit 2
+    # one order that one-pass checking changes: the duplicate on line 3 now
+    # wins over the out-of-range vertex on line 4; both exit 2
     text = "n 3 wmax 4 model insert-only\n+ 1 2 3\n+ 2 1 3\n+ 1 9 3\n"
     assert _parse_error(text) == (StreamError, 2, None, "duplicate insert of edge (1, 2)")
     path = tmp_path / "two-errors.stream"
     path.write_text(text)
     assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
     assert capsys.readouterr().err == "wmstream: duplicate insert of edge (1, 2)\n"
+
+
+@pytest.mark.parametrize("bad,kind,message", [
+    ("+ 1 2 x", ParseError, "bad update fields in '+ 1 2 x'"),
+    ("- 1 2 3", StreamError, "delete of absent edge (1, 2)"),
+])
+def test_an_error_in_the_first_block_is_reported_before_a_non_utf8_byte_in_the_third(
+        bad, kind, message, tmp_path, capsys):
+    # the other order that block reading changes: the whole input is no
+    # longer decoded before its first line is read
+    head = "# wmstream ✓ 𝄞 é\u2028\nn 40 wmax 8 model dynamic\r\n"
+    data = _block_stream(2, b"# \xff\n").replace(head.encode(), f"{head}{bad}\n".encode(), 1)
+    assert data.index(b"\xff") > 2 * stream_io._BLOCK
+    if kind is ParseError:
+        line = len(head.splitlines()) + 1
+        want = (kind, 2, line, f"line {line}: {message}")
+    else:
+        want = (kind, 2, None, message)
+    assert _parse_error(io.BytesIO(data)) == _parse_error(data) == want
+    path = tmp_path / "bad-late.stream"
+    path.write_bytes(data)
+    assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == f"wmstream: {want[3]}\n"
 
 
 def test_parsing_an_open_file_holds_little_beyond_its_records(tmp_path):
