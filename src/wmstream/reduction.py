@@ -98,8 +98,9 @@ def run(
     t = schedule.levels
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
+    update = est.update
     for op, u, v, w in updates:
-        est.update(op, u, v, top_level(schedule, w))
+        update(op, u, v, top_level(schedule, w))
     # McmEstimate(value, words_stored) per level, unzipped so they go before combine
     s_hats, level_words = zip(*est.finalize())
     levels = combine(schedule, s_hats)

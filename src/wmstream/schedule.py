@@ -72,9 +72,11 @@ def top_level(schedule: LevelSchedule, w: float) -> int:
 
     Membership is decided by direct comparison against the stored
     thresholds, never by logarithms, so boundary behavior matches routing
-    exactly.
+    exactly. The range check needs no finiteness test: ``build_schedule``
+    makes ``wmax`` finite, so inf and -inf fall outside [1, wmax], and nan
+    fails every comparison.
     """
-    if not (math.isfinite(w) and 1.0 <= w <= schedule.wmax):
+    if not 1.0 <= w <= schedule.wmax:
         raise WeightRangeError(
             f"weight {w} outside [1, {schedule.wmax}]"
         )

@@ -132,28 +132,33 @@ def _checked_records(
     header: StreamHeader, lines: Iterator[tuple[int, str]], keep
 ) -> Iterator[StreamUpdate]:
     """Each update line of ``lines`` as a record, checked against the header;
-    ``keep`` receives every record before it is yielded."""
+    ``keep`` receives every record before it is yielded. A line is split
+    once (``str.split`` and ``str.strip`` know the same whitespace) and
+    stripped only to quote it in an error. ``1.0 <= w <= wmax`` needs no
+    ``isfinite``: the header makes wmax finite, and nan fails every
+    comparison. ``tuple.__new__`` builds a record as the NamedTuple's
+    ``__new__`` does, without its Python frame."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
+    new = tuple.__new__
     for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
-            raise ParseError(f"bad update {line!r}", lineno)
+            raise ParseError(f"bad update {raw.strip()!r}", lineno)
         try:
             u, v, w = int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError:
-            raise ParseError(f"bad update fields in {line!r}", lineno) from None
+            raise ParseError(f"bad update fields in {raw.strip()!r}", lineno) from None
         if op == DELETE and insert_only:
             raise ParseError("delete in insert-only stream", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range in {line!r}", lineno)
+            raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
         if u == v:
-            raise ParseError(f"self-loop in {line!r}", lineno)
-        if not (math.isfinite(w) and 1.0 <= w <= wmax):
+            raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
+        if not 1.0 <= w <= wmax:
             raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
-        record = StreamUpdate(op, u, v, w)
+        record = new(StreamUpdate, (op, u, v, w))
         keep(record)
         yield record
 
@@ -212,14 +217,14 @@ def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
         else:
             if header.model == INSERT_ONLY:
                 raise StreamError("delete in insert-only stream")
-            if key not in present:
+            inserted = present.pop(key, None)
+            if inserted is None:
                 raise StreamError(f"delete of absent edge {(u, v)}")
-            if present[key] != w:
+            if inserted != w:
                 raise StreamError(
-                    f"delete weight {w} != inserted weight {present[key]} "
+                    f"delete weight {w} != inserted weight {inserted} "
                     f"for edge {(u, v)}"
                 )
-            del present[key]
     return present
 
 

@@ -69,6 +69,27 @@ def test_run_binds_by_the_names_tracing_reads():
     json.dumps(reduction.report_to_dict(report), indent=2)
 
 
+def test_estimate_hands_run_a_list_of_records(tmp_path, monkeypatch):
+    # tracing counts the updates with len() and reads .op/.u/.v/.w on each
+    seen = []
+    real_run = reduction.run
+
+    def spy(header, updates, *args):
+        seen.append(updates)
+        return real_run(header, updates, *args)
+
+    monkeypatch.setattr(reduction, "run", spy)
+    header, updates = generators.generate(_rows()[0].config)
+    stream = tmp_path / "g.stream"
+    stream.write_text(stream_io.serialize(header, updates), encoding="utf-8")
+    assert cli.main(["estimate", "--stream", str(stream), "--epsilon", "0.5",
+                     "--out", str(tmp_path / "est.json")]) == 0
+    [given] = seen
+    assert type(given) is list and len(given) == len(updates)
+    assert all(type(u) is stream_io.StreamUpdate for u in given)
+    assert [(u.op, u.u, u.v, u.w) for u in given] == [tuple(u) for u in updates]
+
+
 def test_make_estimator_and_per_level_update():
     for row in _rows():
         header, updates = generators.generate(row.config)

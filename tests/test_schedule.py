@@ -51,11 +51,12 @@ def test_top_level_boundaries():
 
 def test_top_level_rejects_out_of_range():
     s = build_schedule(1.0, 4.0)
-    with pytest.raises(WeightRangeError):
-        top_level(s, 0.5)
-    with pytest.raises(WeightRangeError) as excinfo:
-        top_level(s, 4.001)
-    assert excinfo.value.exit_code == 2  # through its base, ParameterError
+    # nan fails every comparison, so the range check refuses it too
+    for w in (0.5, 4.001, math.nan, math.inf, -math.inf):
+        with pytest.raises(WeightRangeError) as excinfo:
+            top_level(s, w)
+        assert str(excinfo.value) == f"weight {w} outside [1, 4.0]"
+        assert excinfo.value.exit_code == 2  # through its base, ParameterError
 
 
 @given(

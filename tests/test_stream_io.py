@@ -58,8 +58,44 @@ def test_parse_dynamic_cancellation():
 def test_parse_comments_and_blank_lines():
     header, updates = parse_stream(
         "# a comment\n\nn 2 wmax 1 model insert-only\n\n+ 1 2 1\n# trailing\n"
+        "  # c\n\t#+ 1 2 3\n \xa0\u3000\n"
     )
-    assert len(updates) == 1
+    assert updates == [StreamUpdate(INSERT, 1, 2, 1.0)]
+
+
+# every line splits into the same four fields: Unicode whitespace (tab, NBSP,
+# ideographic space) pads the line or separates its fields
+@pytest.mark.parametrize("sep, pad", [(" ", ""), ("\t", " "), ("\xa0", "\t"), ("\u3000", "\xa0 ")])
+def test_update_fields_split_on_any_whitespace(sep, pad):
+    text = "n 3 wmax 4 model dynamic\n" + "".join(
+        f"{pad}{sep.join(fields)}{pad}\n" for fields in (
+            ("+", "1", "2", "3"), ("+", "3", "2", "1.5"), ("-", "2", "1", "3")))
+    assert parse_stream(text)[1] == [
+        StreamUpdate(INSERT, 1, 2, 3.0),
+        StreamUpdate(INSERT, 3, 2, 1.5),
+        StreamUpdate(DELETE, 2, 1, 3.0),
+    ]
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\u3000"])
+@pytest.mark.parametrize("line, message", [
+    ("+ 1 1 2", "self-loop in '+ 1 1 2'"),
+    ("+ 1 2 3 4", "bad update '+ 1 2 3 4'"),
+    ("+ 1 2 x", "bad update fields in '+ 1 2 x'"),
+])
+def test_a_padded_line_is_quoted_stripped_with_its_line_number(pad, line, message):
+    text = f"n 3 wmax 4 model insert-only\n\n{pad}# c\n+ 2 3 1\n{pad}{line}{pad}\n"
+    with pytest.raises(ParseError) as info:
+        parse_stream(text)
+    assert (info.value.line, str(info.value)) == (5, f"line 5: {message}")
+
+
+@pytest.mark.parametrize("weight, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf"), ("NaN", "nan")])
+def test_parse_refuses_a_weight_that_is_not_finite(weight, shown):
+    with pytest.raises(ParseError) as info:
+        parse_stream(f"n 2 wmax 2 model insert-only\n+ 1 2 1\n# c\n+ 2 1 {weight}\n")
+    assert (info.value.line, str(info.value)) == (4, f"line 4: weight {shown} outside [1, 2.0]")
 
 
 @pytest.mark.parametrize(
@@ -89,19 +125,35 @@ def test_parse_error_carries_line_number():
         parse_stream("n 2 wmax 1 model insert-only\n+ 1 2 1\nbogus\n")
 
 
+def _assert_multiset_error(header, updates, message):
+    # the same message from the parsed text and from replay of the records
+    for check in (lambda: parse_stream(serialize(header, updates)),
+                  lambda: replay(header, updates)):
+        with pytest.raises(StreamError) as info:
+            check()
+        assert str(info.value) == message
+        assert info.value.exit_code == 2
+
+
 def test_strict_rejects_duplicate_insert():
-    with pytest.raises(StreamError):
-        parse_stream("n 2 wmax 1 model insert-only\n+ 1 2 1\n+ 2 1 1\n")
+    _assert_multiset_error(
+        StreamHeader(2, 1.0, INSERT_ONLY),
+        [StreamUpdate(INSERT, 1, 2, 1.0), StreamUpdate(INSERT, 2, 1, 1.0)],
+        "duplicate insert of edge (1, 2)")
 
 
 def test_strict_rejects_delete_of_absent_edge():
-    with pytest.raises(StreamError):
-        parse_stream("n 3 wmax 1 model dynamic\n+ 1 2 1\n- 2 3 1\n")
+    _assert_multiset_error(
+        StreamHeader(3, 1.0, DYNAMIC),
+        [StreamUpdate(INSERT, 2, 3, 1.0), StreamUpdate(DELETE, 2, 1, 1.0)],
+        "delete of absent edge (1, 2)")
 
 
 def test_strict_rejects_delete_weight_mismatch():
-    with pytest.raises(StreamError):
-        parse_stream("n 2 wmax 4 model dynamic\n+ 1 2 3\n- 1 2 4\n")
+    _assert_multiset_error(
+        StreamHeader(2, 4.0, DYNAMIC),
+        [StreamUpdate(INSERT, 1, 2, 3.0), StreamUpdate(DELETE, 1, 2, 4.0)],
+        "delete weight 4.0 != inserted weight 3.0 for edge (1, 2)")
 
 
 def test_replay_reinsert_after_delete():
