@@ -8,7 +8,6 @@ import io
 import json
 import os
 import sys
-import time
 import typing
 from contextlib import nullcontext
 
@@ -152,7 +151,6 @@ def parse_suite(text: str | bytes) -> list[SuiteRow]:
 
 def run_suite_row(row: SuiteRow) -> dict:
     """Execute one eval row; pure function of the row, safe to parallelize."""
-    started = time.perf_counter()
     out = dict.fromkeys(CSV_COLUMNS, "")
     out.update({
         "config": row.config.summary(),
@@ -160,7 +158,6 @@ def run_suite_row(row: SuiteRow) -> dict:
         "estimator": row.estimator,
         "lambda": ESTIMATORS[row.estimator].LAM,
         "status": "ok",
-        "elapsed": 0.0,
         "exit_code": 0,
     })
     try:
@@ -188,13 +185,11 @@ def run_suite_row(row: SuiteRow) -> dict:
     except WmStreamError as exc:
         out["status"] = f"error:{type(exc).__name__}"
         out["exit_code"] = exc.exit_code
-    out["elapsed"] = time.perf_counter() - started
     return out
 
 
 def render_suite_csv(results: list[dict]) -> str:
-    """Fixed-column CSV plus a max-ratio-per-(estimator, epsilon) footer.
-    Elapsed times are deliberately excluded so reruns are byte-identical."""
+    """Fixed-column CSV plus a max-ratio-per-(estimator, epsilon) footer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -61,11 +61,10 @@ def _forest_union(config: GenConfig, rng: random.Random) -> tuple[int, list[tupl
     seen = set()
     edges = []
     for _ in range(config.nu):
-        for u, v in _random_spanning_tree(config.n, rng):
-            key = (u, v) if u < v else (v, u)
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
+        for edge in _random_spanning_tree(config.n, rng):  # u < v already
+            if edge not in seen:
+                seen.add(edge)
+                edges.append(edge)
     return config.n, edges
 
 

@@ -21,6 +21,7 @@ lives with the tests, in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import CapacityError
@@ -38,8 +39,11 @@ def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
     """Maximum weighted matching by the frontier dynamic program over the
     sorted edge list. Ties go to the lexicographically smallest witness, whose
     value is summed in edge order: the branch-and-bound's answer, bit for bit.
+    A value past the float range raises CapacityError.
     """
     value, witness = _mwm_frontier(sorted(snapshot.edges))
+    if value == math.inf:
+        raise CapacityError("the matching weight is past the float range")
     return OracleResult(value, witness)
 
 

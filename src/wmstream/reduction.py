@@ -19,7 +19,7 @@ import json
 import math
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .estimators import ESTIMATORS, make_estimator
 from .oracle import check_oracle_cap, exact_mcm
 from .schedule import LevelSchedule, build_schedule, top_level
@@ -54,7 +54,8 @@ class RunReport(NamedTuple):
 
 
 def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> tuple[LevelState, ...]:
-    """Run the descending greedy combine on per-level estimates, top level down."""
+    """Run the descending greedy combine on per-level estimates, top level
+    down. An estimate past the float range raises CapacityError."""
     t = schedule.levels
     if len(s_hats) != t + 1:
         raise ParameterError(
@@ -76,7 +77,8 @@ def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> tuple[LevelStat
         a = a_next + schedule.thresholds[i] * delta_count
         levels.append(LevelState(i, s_hat, m_hat, delta_count, b, a))
         m_hat_next, b_next, a_next = m_hat, b, a
-
+    if not math.isfinite(a_next):
+        raise CapacityError("the estimate is past the float range")
     return tuple(levels)
 
 
@@ -198,40 +200,24 @@ def check_lemma2(
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "epsilon": report.schedule.epsilon,
-        "wmax": report.schedule.wmax,
-        "T": report.schedule.levels,
-        "estimate": report.estimate,
-        "delta": report.delta,
-        "delta_prime": report.delta_prime,
-        "estimator": report.estimator,
-        "total_words": report.total_words,
-        "levels": [
-            {
-                "i": st.level,
-                "threshold": report.schedule.thresholds[st.level],
-                "s_hat": st.s_hat,
-                "m_hat": st.m_hat,
-                "delta_i": st.delta_count,
-                "b": st.b,
-                "a": st.a,
-            }
-            for st in report.levels
-        ],
-    }
+    """The report as the JSON object that ``report_json`` writes."""
+    return json.loads("".join(report_json(report, {})))
 
 
 def report_json(report: RunReport, extra: dict) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2) + "\\n"``, where payload is
-    ``report_to_dict(report)`` followed by the ``extra`` keys, one level at a
-    time: the indenting encoder is pure Python, and a long schedule's report
-    would spend seconds in it. Every level value is an int or a finite
-    float, and JSON spells a finite float as repr does."""
-    head = report_to_dict(report._replace(levels=()))
-    del head["levels"]
+    the report's head keys, its levels and then the ``extra`` keys: the only
+    spelling of the report. The levels are written one at a time, since the
+    indenting encoder is pure Python and a long schedule's report would spend
+    seconds in it. Every level value is an int or a finite float, and JSON
+    spells a finite float as repr does."""
+    schedule = report.schedule
+    head = {"epsilon": schedule.epsilon, "wmax": schedule.wmax, "T": schedule.levels,
+            "estimate": report.estimate, "delta": report.delta,
+            "delta_prime": report.delta_prime, "estimator": report.estimator,
+            "total_words": report.total_words}
     yield json.dumps(head, indent=2)[:-2] + ',\n  "levels": [\n'
-    thresholds = report.schedule.thresholds
+    thresholds = schedule.thresholds
     sep = ""
     for i, s_hat, m_hat, delta_i, b, a in report.levels:
         yield (f'{sep}    {{\n      "i": {i},\n      "threshold": {thresholds[i]!r},\n'

@@ -41,7 +41,8 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
 
     The level count is ceil(log_{1+eps} wmax), zero when wmax == 1.
     epsilon must lie in (0, 1]; values above 1 are rejected. A count above
-    MAX_LEVELS raises CapacityError.
+    MAX_LEVELS, or a top threshold past the float range, raises
+    CapacityError.
     """
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be finite, got {epsilon!r}")
@@ -64,6 +65,8 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     thresholds = [1.0]
     for _ in range(levels):
         thresholds.append(thresholds[-1] * (1.0 + epsilon))
+    if thresholds[-1] == math.inf:
+        raise CapacityError(f"epsilon {epsilon} and wmax {wmax} overflow the top threshold")
     return LevelSchedule(epsilon, wmax, levels, tuple(thresholds))
 
 

@@ -82,13 +82,12 @@ def parse_stream(source: str | bytes | BinaryIO):
     line or multiset error in an earlier block is reported before a
     non-UTF-8 byte in a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
-    header = None
-    for lineno, raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            header = _parse_header(line, lineno)
+    for lineno, raw in lines:  # blank and comment lines as in _checked_records
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            header = _parse_header(parts, raw, lineno)
             break
-    if header is None:
+    else:
         raise ParseError("missing header line")
     updates: list[StreamUpdate] = []
     # The records hold no reference cycles, so the collector would only walk
@@ -104,28 +103,20 @@ def parse_stream(source: str | bytes | BinaryIO):
 
 
 def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
-    """The text of ``source`` in pieces that each end at a LF, but the last.
-    A LF byte ends a line under ``str.splitlines`` and is never part of a
-    multi-byte UTF-8 sequence, so the pieces decode and split into the same
-    lines as the whole text."""
+    """The text of ``source`` in pieces of ``_BLOCK`` bytes read on to a LF,
+    or to the end. A LF ends a line under ``str.splitlines`` and is never
+    part of a multi-byte UTF-8 sequence, so the pieces decode and split into
+    the same lines as the whole text."""
     if isinstance(source, str):
         yield source
         return
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    pending: list[bytes] = []  # read since the last LF
     offset = 0
-    while block := source.read(_BLOCK):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            piece = b"".join([*pending, block[:cut]])
-            pending = []
-            yield decode_text(piece, "stream", offset)
-            offset += len(piece)
-        pending.append(block[cut:])
-    piece = b"".join(pending)
-    if piece:
+    while piece := source.read(_BLOCK):
+        piece += source.readline()
         yield decode_text(piece, "stream", offset)
+        offset += len(piece)
 
 
 def _checked_records(
@@ -163,15 +154,15 @@ def _checked_records(
         yield record
 
 
-def _parse_header(line: str, lineno: int) -> StreamHeader:
-    parts = line.split()
+def _parse_header(parts: list[str], raw: str, lineno: int) -> StreamHeader:
+    """The header from the fields of its line ``raw``."""
     if len(parts) != 6 or parts[0] != "n" or parts[2] != "wmax" or parts[4] != "model":
-        raise ParseError(f"bad header {line!r}", lineno)
+        raise ParseError(f"bad header {raw.strip()!r}", lineno)
     try:
         n = int(parts[1])
         wmax = float(parts[3])
     except ValueError:
-        raise ParseError(f"bad header numbers in {line!r}", lineno) from None
+        raise ParseError(f"bad header numbers in {raw.strip()!r}", lineno) from None
     model = parts[5]
     if model not in (INSERT_ONLY, DYNAMIC):
         raise ParseError(f"unknown model {model!r}", lineno)

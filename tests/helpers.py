@@ -95,6 +95,33 @@ def combined_report(schedule, s_hats, estimator=EXACT_OFFLINE):
     return RunReport(schedule, levels, levels[-1].a, estimator, 0.1, 0.1 / width, (0,) * width)
 
 
+def report_dict_reference(report):
+    """The report as a dict built field by field, the reference that
+    ``report_json``'s text is checked against."""
+    return {
+        "epsilon": report.schedule.epsilon,
+        "wmax": report.schedule.wmax,
+        "T": report.schedule.levels,
+        "estimate": report.estimate,
+        "delta": report.delta,
+        "delta_prime": report.delta_prime,
+        "estimator": report.estimator,
+        "total_words": report.total_words,
+        "levels": [
+            {
+                "i": st.level,
+                "threshold": report.schedule.thresholds[st.level],
+                "s_hat": st.s_hat,
+                "m_hat": st.m_hat,
+                "delta_i": st.delta_count,
+                "b": st.b,
+                "a": st.a,
+            }
+            for st in report.levels
+        ],
+    }
+
+
 # --- arboricity, the bound the forest-union generator promises ----------------
 
 

@@ -1,0 +1,232 @@
+"""Mutation gate: how hard the tests are to fool.
+
+Each mutant replaces one exact text, which must occur once in its file under
+``src/wmstream/``, and names the test files that must kill it. The script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory, checks that the unmutated copy passes every named test file, then
+applies each mutant to the copy in turn and runs ``pytest -x -q`` on its test
+files there. pytest runs inside the copy because ``pyproject.toml`` puts its
+own ``src`` first on the path; a ``PYTHONPATH`` pointing at the copy would
+come after the repository's ``src``. Hypothesis runs with a fixed seed and
+no example database, so a verdict does not depend on earlier runs.
+
+It is not part of tier-1 (a full run takes a few minutes). Run it by hand
+from the repository root and commit the kill matrix it prints:
+
+    python tests/mutants.py > tests/golden/mutants.txt
+
+Progress goes to stderr. The exit code is 1 if the unmutated copy fails, a
+mutant's text is not found exactly once, or a mutant survives that is not
+marked equivalent; an equivalent mutant carries the reason why no test can
+kill it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+HEADER = (
+    "# kill matrix: mutant<TAB>verdict<TAB>test files (equivalent survivors: why)\n"
+    "# written by: python tests/mutants.py > tests/golden/mutants.txt\n"
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/wmstream/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    equivalent: str = ""  # why no test can tell it apart, for a known survivor
+
+
+MUTANTS = (
+    # the report's one spelling
+    Mutant("report.level-s_hat-m_hat-swapped", "reduction.py",
+           '"s_hat": {s_hat!r},\\n      "m_hat": {m_hat!r}',
+           '"s_hat": {m_hat!r},\\n      "m_hat": {s_hat!r}', ("test_reduction.py",)),
+    Mutant("report.head-key-renamed", "reduction.py",
+           '"total_words": report.total_words', '"total_word": report.total_words',
+           ("test_reduction.py",)),
+    Mutant("report.extra-keys-dropped", "reduction.py",
+           '("," + json.dumps(extra, indent=2)[1:] if extra else "\\n}")', '"\\n}"',
+           ("test_reduction.py",)),
+    # the block reader and the blank/comment rule
+    Mutant("reader.readline-dropped", "stream_io.py",
+           "        piece += source.readline()\n", "", ("test_stream_io.py",)),
+    Mutant("reader.offset-not-advanced", "stream_io.py",
+           "        offset += len(piece)\n", "", ("test_stream_io.py",)),
+    Mutant("header.comment-is-only-a-lone-hash", "stream_io.py",
+           'if parts and not parts[0].startswith("#"):', 'if parts and not parts[0] == "#":',
+           ("test_stream_io.py",)),
+    Mutant("records.comment-tested-on-the-raw-line", "stream_io.py",
+           'if not parts or parts[0].startswith("#"):', 'if not parts or raw.startswith("#"):',
+           ("test_stream_io.py",)),
+    Mutant("records.split-on-spaces-only", "stream_io.py",
+           "        parts = raw.split()\n        if not parts or",
+           '        parts = raw.split(" ")\n        if not parts or', ("test_stream_io.py",)),
+    Mutant("records.error-quotes-the-unstripped-line", "stream_io.py",
+           'raise ParseError(f"bad update {raw.strip()!r}", lineno)',
+           'raise ParseError(f"bad update {raw!r}", lineno)', ("test_stream_io.py",)),
+    # the parser's range checks
+    Mutant("parser.vertex-above-n-accepted", "stream_io.py",
+           "if not (1 <= u <= n and 1 <= v <= n):", "if not (1 <= u <= n and 1 <= v <= n + 1):",
+           ("test_stream_io.py",)),
+    Mutant("parser.vertex-0-accepted", "stream_io.py",
+           "if not (1 <= u <= n and 1 <= v <= n):", "if not (0 <= u <= n and 1 <= v <= n):",
+           ("test_stream_io.py",)),
+    Mutant("parser.weight-above-wmax-accepted", "stream_io.py",
+           "if not 1.0 <= w <= wmax:", "if not 1.0 <= w:", ("test_stream_io.py",)),
+    Mutant("parser.weight-as-two-comparisons", "stream_io.py",
+           "if not 1.0 <= w <= wmax:", "if w < 1.0 or w > wmax:", ("test_stream_io.py",)),
+    # the multiset rules
+    Mutant("multiset.weight-mismatch-unchecked", "stream_io.py",
+           "            if inserted != w:", "            if False:", ("test_stream_io.py",)),
+    Mutant("multiset.duplicate-insert-accepted", "stream_io.py",
+           "if key in present:", "if False:", ("test_stream_io.py",)),
+    Mutant("multiset.delete-gets-and-keeps", "stream_io.py",
+           "present.pop(key, None)", "present.get(key)", ("test_stream_io.py",)),
+    # the three overflow refusals
+    Mutant("schedule.overflowed-threshold-kept", "schedule.py",
+           "if thresholds[-1] == math.inf:", "if False:", ("test_schedule.py",)),
+    Mutant("combine.overflowed-estimate-kept", "reduction.py",
+           "if not math.isfinite(a_next):", "if False:", ("test_reduction.py",)),
+    Mutant("oracle.overflowed-matching-weight-kept", "oracle.py",
+           "if value == math.inf:", "if False:", ("test_oracle.py",)),
+    # the schedule and level routing
+    Mutant("schedule.levels-floor", "schedule.py",
+           "levels = math.ceil(span)", "levels = math.floor(span)", ("test_schedule.py",)),
+    Mutant("top_level.bisect_left", "schedule.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
+           ("test_schedule.py",)),
+    # combine and the checks
+    Mutant("combine.no-2-times-b", "reduction.py",
+           "math.ceil(m_hat - 2 * b_next)", "math.ceil(m_hat - b_next)", ("test_reduction.py",)),
+    Mutant("combine.int-for-ceil", "reduction.py",
+           "math.ceil(m_hat - 2 * b_next)", "int(m_hat - 2 * b_next)", ("test_reduction.py",)),
+    Mutant("lemma1.strict-b", "reduction.py",
+           "st.b <= math.ceil(st.m_hat)", "st.b < math.ceil(st.m_hat)", ("test_reduction.py",)),
+    Mutant("lemma1.strict-m_hat", "reduction.py",
+           "st.m_hat <= 2 * st.b", "st.m_hat < 2 * st.b", ("test_reduction.py",)),
+    Mutant("sandwich.lower-slack-sign", "reduction.py",
+           "1.0 - REL_SLACK <= ratio", "1.0 + REL_SLACK <= ratio", ("test_reduction.py",)),
+    Mutant("sandwich.upper-slack-sign", "reduction.py",
+           "ratio <= bound * (1.0 + REL_SLACK)", "ratio <= bound * (1.0 - REL_SLACK)",
+           ("test_reduction.py",)),
+    Mutant("observations.b-unchecked", "reduction.py",
+           "        if st.b != b_sum:\n", "        if False:\n", ("test_reduction.py",)),
+    Mutant("observations.a-unchecked", "reduction.py",
+           "if abs(st.a - a_sum) > REL_SLACK * max(1.0, abs(a_sum)):", "if False:",
+           ("test_reduction.py",)),
+    Mutant("lemma2.free-edges-uncounted", "reduction.py",
+           "if len(free) < st.delta_count:", "if False:", ("test_reduction.py",)),
+    Mutant("lemma2.upper-half-dropped", "reduction.py",
+           "if sum(1 for w in matching_weights if w >= t) > 2 * lam * st.b:", "if False:",
+           ("test_reduction.py",)),
+    Mutant("lemma2.weight-unchecked", "reduction.py",
+           "return sum(picked) >= report.estimate * (1.0 - REL_SLACK)", "return True",
+           ("test_reduction.py",)),
+    # the estimators
+    Mutant("exact.no-guard-bit", "estimators.py",
+           "(n * (n - 1) // 2).bit_length() + 1", "(n * (n - 1) // 2).bit_length()",
+           ("test_estimators.py",)),
+    Mutant("greedy.bit-counts-wrong-bit", "estimators.py",
+           "(columns[i >> 3] >> (i & 7) & ones)", "(columns[i >> 3] >> (i % 7) & ones)",
+           ("test_estimators.py",)),
+    Mutant("greedy.bit-counts-keep-zero-masks", "estimators.py",
+           'for m in masks if m)', 'for m in masks)', ("test_estimators.py",)),
+    Mutant("greedy.one-level-short", "estimators.py",
+           "new = ((2 << top) - 1)", "new = ((1 << top) - 1)", ("test_estimators.py",)),
+    Mutant("exact.words-without-the-gap", "estimators.py",
+           "len(level) + (self._gap >> i * width & field)", "len(level)",
+           ("test_estimators.py",)),
+    # the exact searches
+    Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
+           "            if state > nxt.get(key, unset):\n                nxt[key] = state\n"
+           "            if not",
+           "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
+           "            if not", ("test_oracle.py",)),
+    Mutant("mcm.ceiling-one-short", "oracle.py",
+           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2",
+           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2 - 1",
+           ("test_oracle.py",)),
+    Mutant("mcm.ceiling-one-over", "oracle.py",
+           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2",
+           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2 + 1",
+           ("test_oracle.py",),
+           "no matching beats |V|//2, so the search only stops later with the same answer"),
+    Mutant("mcm.keeps-ties", "oracle.py",
+           "if len(chosen) > len(best):", "if len(chosen) >= len(best):", ("test_oracle.py",)),
+    Mutant("mcm.no-vertex-check", "oracle.py",
+           "        if not masks[idx] & used:\n            stack.append((idx + 1, used | masks[idx], "
+           "chosen + (idx,)))",
+           "        stack.append((idx + 1, used | masks[idx], chosen + (idx,)))",
+           ("test_oracle.py",)),
+    # the verdicts
+    Mutant("eval.sandwich-verdict-dropped", "cli.py",
+           "if not (lemma1_ok and obs_ok and lemma2_ok and sandwich_ok):",
+           "if not (lemma1_ok and obs_ok and lemma2_ok):", ("test_cli.py",)),
+    Mutant("estimate.verify-verdict-dropped", "cli.py",
+           'if verify and not verify["sandwich_ok"]:', "if False:", ("test_cli.py",)),
+)
+
+
+def pytest_fails(copy: Path, tests) -> bool:
+    """Whether ``pytest -x -q`` fails on the named test files inside ``copy``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *(f"tests/{name}" for name in tests)]
+    try:
+        code = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=600).returncode
+    except subprocess.TimeoutExpired:  # a mutant that hangs is caught too
+        code = -1
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    return code != 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="wmstream-mutants-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", copy / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        all_tests = sorted({name for m in MUTANTS for name in m.tests})
+        if pytest_fails(copy, all_tests):
+            sys.stderr.write(f"the unmutated copy fails {' '.join(all_tests)}\n")
+            return 1
+        lines, bad = [], 0
+        for m in MUTANTS:
+            target = copy / "src" / "wmstream" / m.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                sys.stderr.write(f"{m.name}: its text occurs {original.count(m.old)} times\n")
+                return 1
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            started = time.perf_counter()
+            try:
+                killed = pytest_fails(copy, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            verdict = "killed" if killed else "survived"
+            line = f"{m.name}\t{verdict}\t{' '.join(m.tests)}"
+            if not killed:
+                if m.equivalent:
+                    line += f"\tequivalent: {m.equivalent}"
+                else:
+                    bad += 1
+            lines.append(line + "\n")
+            sys.stderr.write(f"{line}\t{time.perf_counter() - started:.1f} s\n")
+        sys.stdout.write(HEADER + "".join(lines))
+        return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

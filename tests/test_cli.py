@@ -107,6 +107,23 @@ def test_estimate_refuses_a_schedule_over_max_levels(tmp_path, capsys, wmax, eps
     assert err.startswith("wmstream: ") and err.endswith("levels\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,edges,message", [
+    (["estimate", "--epsilon", "1"], "+ 1 2 1e308\n",
+     "epsilon 1.0 and wmax 1e+308 overflow the top threshold"),
+    (["estimate", "--epsilon", "0.1", "--verify"], "+ 1 2 1e308\n+ 3 4 1e308\n",
+     "the estimate is past the float range"),
+    (["oracle", "--mode", "mwm"], "+ 1 2 1e308\n+ 3 4 1e308\n",
+     "the matching weight is past the float range"),
+])
+def test_a_value_past_the_float_range_exits_4_and_writes_no_json(tmp_path, capsys, command,
+                                                                   edges, message):
+    # JSON has no spelling for inf or nan: json.dumps would write Infinity or NaN
+    path = tmp_path / "heavy.stream"
+    path.write_text(f"n 4 wmax 1e308 model insert-only\n{edges}")
+    assert main([*command, "--stream", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"wmstream: {message}\n")
+
+
 def test_oracle_capacity_exit_code(tmp_path):
     lines = ["n 26 wmax 1 model insert-only"]
     lines += [f"+ 1 {i} 1" for i in range(2, 27)]
@@ -444,6 +461,22 @@ def test_eval_invariant_failure_writes_every_row_and_exits_5(tmp_path, capsys, m
     assert (greedy["status"], greedy["lemma1_ok"]) == ("invariant-failure", "False")
     assert greedy["estimate"] and greedy["oracle_mwm"]
     assert capsys.readouterr().err == f"eval: {greedy['config']}: invariant-failure\n"
+
+
+_FAILED_CHECKS = {
+    "check_lemma1": lambda report: False,
+    "check_observations": lambda report: False,
+    "check_lemma2": lambda report, snapshot, matching_weights: False,
+    "check_sandwich": lambda report, mwm: (1.0, 2.0, False),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FAILED_CHECKS))
+def test_each_failed_check_alone_makes_an_eval_row_an_invariant_failure(monkeypatch, check):
+    monkeypatch.setattr(reduction, check, _FAILED_CHECKS[check])
+    row = parse_suite("family=grid\nrows=2\ncols=2\nestimator=exact\n")[0]
+    result = run_suite_row(row)
+    assert (result["status"], result["exit_code"]) == ("invariant-failure", 5)
 
 
 def test_estimate_verify_sandwich_violation_writes_the_report_and_exits_5(

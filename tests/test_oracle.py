@@ -228,3 +228,11 @@ def test_mwm_on_wide_frontiers_at_the_cap_agrees_with_networkx(shape, seed):
     result = exact_mwm(graph)
     assert result.value == pytest.approx(nx_value, rel=1e-12)
     assert (result.value, result.witness) == _mwm_search(list(graph.edges))
+
+
+def test_a_matching_weight_past_the_float_range_is_refused():
+    heavy = snap(4, [(1, 2, 1e308), (3, 4, 1e308)])
+    with pytest.raises(CapacityError, match="^the matching weight is past the float range$"):
+        exact_mwm(heavy)
+    assert exact_mwm(snap(4, [(1, 2, 1e308), (2, 3, 1e308)])).value == 1e308
+    assert exact_mcm(heavy).value == 2

@@ -30,7 +30,7 @@ from wmstream.estimators import EXACT_OFFLINE, GREEDY
 from wmstream.reduction import LevelState, report_json
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 
-from helpers import combined_report
+from helpers import combined_report, report_dict_reference
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
@@ -91,6 +91,26 @@ def test_combine_rejects_negative_estimate():
     schedule = build_schedule(1.0, 4.0)
     with pytest.raises(ParameterError):
         combine(schedule, [1.0, -1.0, 0.0])
+
+
+def test_combine_refuses_an_estimate_past_the_float_range():
+    schedule = build_schedule(0.1, 1e308)  # a finite top threshold above 1e308
+    top = [0.0] * schedule.levels
+    assert combine(schedule, [*top, 1.0])[-1].a == schedule.thresholds[-1]
+    with pytest.raises(CapacityError, match="^the estimate is past the float range$"):
+        combine(schedule, [*top, 2.0])
+
+
+@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
+@pytest.mark.parametrize("text,epsilon,message", [
+    ("n 3 wmax 1e308 model insert-only\n+ 1 2 1e308\n", 1.0, "overflow the top threshold"),
+    ("n 4 wmax 1e308 model insert-only\n+ 1 2 1e308\n+ 3 4 1e308\n", 0.1,
+     "the estimate is past the float range"),
+])
+def test_run_refuses_a_stream_whose_estimate_overflows(kind, text, epsilon, message):
+    header, updates = parse_stream(text)
+    with pytest.raises(CapacityError, match=message):
+        run(header, updates, epsilon, 0.1, kind)
 
 
 def test_run_triangle_unit_weights():
@@ -411,10 +431,22 @@ _VERIFY_KEYS = st.one_of(st.just({}), st.fixed_dictionaries({
 }))
 
 
+def _value_types(value):
+    """``value`` with each leaf replaced by its type, through dicts and lists."""
+    if isinstance(value, dict):
+        return {key: _value_types(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_value_types(v) for v in value]
+    return type(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_reports(), _VERIFY_KEYS)
 def test_the_report_writer_spells_the_report_as_json_dumps(report, verify):
-    payload = report_to_dict(report)
+    payload = report_dict_reference(report)
+    parsed = report_to_dict(report)
+    assert parsed == payload
+    assert _value_types(parsed) == _value_types(payload)  # 1 == 1.0, but "1" != "1.0"
     payload.update(verify)
     assert "".join(report_json(report, verify)) == json.dumps(payload, indent=2) + "\n"
 

@@ -127,3 +127,12 @@ def test_max_levels_is_the_longest_schedule_built():
     with pytest.raises(CapacityError):
         build_schedule(epsilon, 4.0)
     assert build_schedule(math.nextafter(epsilon, 1.0), 4.0).levels == MAX_LEVELS
+
+
+def test_a_top_threshold_past_the_float_range_is_refused():
+    # 2^1024 is past the largest float; (1.1)^7441 is not, at about 1.007e308
+    message = r"^epsilon 1.0 and wmax 1e\+308 overflow the top threshold$"
+    with pytest.raises(CapacityError, match=message):
+        build_schedule(1.0, 1e308)
+    assert build_schedule(1.0, 1.5 * 2.0**1022).thresholds[-1] == 2.0**1023
+    assert math.isfinite(build_schedule(0.1, 1e308).thresholds[-1])

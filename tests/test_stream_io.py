@@ -63,6 +63,19 @@ def test_parse_comments_and_blank_lines():
     assert updates == [StreamUpdate(INSERT, 1, 2, 1.0)]
 
 
+@pytest.mark.parametrize("comment", ["#", "#c", "  #!wmstream", "\t## n 2 wmax 1 model dynamic"])
+def test_the_header_and_the_updates_skip_a_comment_by_its_first_field(comment):
+    text = f"{comment}\n \xa0\nn 2 wmax 1 model insert-only\n{comment}\n+ 1 2 1\n"
+    assert parse_stream(text) == (StreamHeader(2, 1.0, INSERT_ONLY), [(INSERT, 1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("line", ["+ 0 2 1", "+ 2 0 1", "+ -1 2 1", "+ 1 3 1", "- 3 1 1"])
+def test_a_vertex_outside_1_to_n_is_a_line_error(line):
+    with pytest.raises(ParseError) as info:
+        parse_stream(f"n 2 wmax 1 model dynamic\n{line}\n")
+    assert (info.value.line, str(info.value)) == (2, f"line 2: vertex out of range in {line!r}")
+
+
 # every line splits into the same four fields: Unicode whitespace (tab, NBSP,
 # ideographic space) pads the line or separates its fields
 @pytest.mark.parametrize("sep, pad", [(" ", ""), ("\t", " "), ("\xa0", "\t"), ("\u3000", "\xa0 ")])
@@ -373,6 +386,75 @@ def test_an_error_in_the_first_block_is_reported_before_a_non_utf8_byte_in_the_t
     path.write_bytes(data)
     assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
     assert capsys.readouterr().err == f"wmstream: {want[3]}\n"
+
+
+# Each test below reads with 16-byte blocks. The 29-byte header fills the
+# first block and the start of the second, so the first piece is the header
+# and the second piece's block starts at byte 29.
+HEADER_29 = b"n 9 wmax 8 model insert-only\n"
+
+
+def _outcomes(data: bytes, text: str) -> list:
+    """``parse_stream``'s result, or its error's class, exit code, line and
+    message, on ``data`` as bytes, through a BufferedReader, and as ``text``."""
+    def outcome(source):
+        try:
+            return parse_stream(source)
+        except (ParseError, StreamError) as exc:
+            return type(exc), exc.exit_code, getattr(exc, "line", None), str(exc)
+    return [outcome(data), outcome(io.BufferedReader(io.BytesIO(data))), outcome(text)]
+
+
+def test_a_block_that_ends_at_a_lf_is_read_on_to_the_end_of_the_next_line(monkeypatch):
+    monkeypatch.setattr(stream_io, "_BLOCK", 16)
+    data = HEADER_29 + b"+ 1 2 3\n+ 3 4 5\n" + b"+ 5 6 7\n" + b"+ 7 8 8\n"
+    assert data[29 + 15:29 + 16] == b"\n"
+    assert list(stream_io._text_pieces(data)) == [
+        HEADER_29.decode(), "+ 1 2 3\n+ 3 4 5\n+ 5 6 7\n", "+ 7 8 8\n"]
+    want = (StreamHeader(9, 8.0, INSERT_ONLY),
+            [(INSERT, u, u + 1, float(w)) for u, w in ((1, 3), (3, 5), (5, 7), (7, 8))])
+    assert _outcomes(data, data.decode()) == [want] * 3
+    bad = data.replace(b"+ 7 8 8", b"+ 7 8 x")
+    assert _outcomes(bad, bad.decode()) == [
+        (ParseError, 2, 5, "line 5: bad update fields in '+ 7 8 x'")] * 3
+
+
+# The third piece's block ends inside "# abcdef\xff gh", and readline
+# brings in the bad byte, at 29 + 24 + 16 = 69.
+LATE_BAD_BYTE = HEADER_29 + b"+ 1 2 3\n+ 3 4 5\n+ 5 6 7\n" + b"+ 7 8 8\n# abcdef\xff gh\n"
+
+
+def test_a_non_utf8_byte_in_a_line_finished_past_its_block_is_placed_in_the_whole_file(
+        monkeypatch):
+    monkeypatch.setattr(stream_io, "_BLOCK", 16)
+    data = LATE_BAD_BYTE
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert "byte 0xff in position 69: invalid start byte" in str(whole.value)
+    want = (ParseError, 2, None, f"stream is not UTF-8: {whole.value}")
+    from_bytes, from_file, from_text = _outcomes(data, data.decode("utf-8", "surrogateescape"))
+    assert from_bytes == from_file == want
+    assert len(from_text[1]) == 4  # in the str the byte is a surrogate escape in a comment
+
+
+def test_a_line_error_in_an_earlier_block_comes_before_a_bad_byte_finished_past_a_later_one(
+        monkeypatch):
+    monkeypatch.setattr(stream_io, "_BLOCK", 16)
+    data = LATE_BAD_BYTE.replace(b"+ 1 2 3", b"+ 1 2 x")
+    assert data.index(b"\xff") == 69
+    want = (ParseError, 2, 2, "line 2: bad update fields in '+ 1 2 x'")
+    assert _outcomes(data, data.decode("utf-8", "surrogateescape")) == [want] * 3
+
+
+def test_a_crlf_split_by_a_block_end_is_one_line_end(monkeypatch):
+    # "\r\n" ends one line; were the "\r" and the "\n" in two pieces,
+    # they would end two lines, and the bad line would be line 5
+    monkeypatch.setattr(stream_io, "_BLOCK", 16)
+    data = HEADER_29 + b"+ 1 2 3\n+ 3 4 5\r\n" + b"+ 5 6 x\n"
+    assert data[29 + 15:29 + 17] == b"\r\n"
+    assert list(stream_io._text_pieces(data))[1] == "+ 1 2 3\n+ 3 4 5\r\n"
+    assert _outcomes(data, data.decode()) == [
+        (ParseError, 2, 4, "line 4: bad update fields in '+ 5 6 x'")] * 3
 
 
 def test_parsing_an_open_file_holds_little_beyond_its_records(tmp_path):
