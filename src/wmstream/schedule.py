@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .errors import CapacityError, ParameterError, WeightRangeError
@@ -25,8 +26,8 @@ class LevelSchedule(NamedTuple):
     """Immutable bucketing parameters shared by one run.
 
     ``thresholds[i] == (1+epsilon)**i`` computed by repeated multiplication,
-    so every run agrees bit-for-bit. ``levels`` is the index of the top
-    threshold (there are ``levels + 1`` thresholds).
+    so every run agrees bit-for-bit. ``levels`` is T, the first level whose
+    threshold, by these products, reaches wmax (``levels + 1`` thresholds).
     """
 
     epsilon: float
@@ -39,10 +40,10 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     """Construct the level schedule for granularity ``epsilon`` and declared
     maximum weight ``wmax``.
 
-    The level count is ceil(log_{1+eps} wmax), zero when wmax == 1.
-    epsilon must lie in (0, 1]; values above 1 are rejected. A count above
-    MAX_LEVELS, or a top threshold past the float range, raises
-    CapacityError.
+    T is the first level whose threshold, by the stored products, reaches
+    wmax: 0 when wmax == 1, k for wmax == 2**k at epsilon 1. epsilon must
+    lie in (0, 1]. More than MAX_LEVELS levels (refused before a threshold
+    is stored) or a top threshold past the float range raise CapacityError.
     """
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be finite, got {epsilon!r}")
@@ -53,21 +54,20 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     if wmax < 1.0:
         raise ParameterError(f"wmax must be >= 1, got {wmax}")
 
-    epsilon = float(epsilon)
-    wmax = float(wmax)
-    span = math.log(wmax) / math.log1p(epsilon)  # inf if the quotient overflows
-    if span > MAX_LEVELS:
-        raise CapacityError(
-            f"epsilon {epsilon} and wmax {wmax} need more than {MAX_LEVELS} levels"
-        )
-    levels = math.ceil(span)
-
-    thresholds = [1.0]
-    for _ in range(levels):
-        thresholds.append(thresholds[-1] * (1.0 + epsilon))
-    if thresholds[-1] == math.inf:
+    epsilon, wmax = float(epsilon), float(wmax)
+    step = 1.0 + epsilon  # 1.0 for a tiny epsilon: the cap ends the loop
+    levels, top = 0, 1.0
+    while top < wmax:
+        if levels == MAX_LEVELS:
+            raise CapacityError(
+                f"epsilon {epsilon} and wmax {wmax} need more than {MAX_LEVELS} levels"
+            )
+        top *= step
+        levels += 1
+    if top == math.inf:
         raise CapacityError(f"epsilon {epsilon} and wmax {wmax} overflow the top threshold")
-    return LevelSchedule(epsilon, wmax, levels, tuple(thresholds))
+    thresholds = tuple(accumulate(repeat(step, levels), float.__mul__, initial=1.0))
+    return LevelSchedule(epsilon, wmax, levels, thresholds)
 
 
 def top_level(schedule: LevelSchedule, w: float) -> int:

@@ -10,7 +10,9 @@ own ``src`` first on the path; a ``PYTHONPATH`` pointing at the copy would
 come after the repository's ``src``. Hypothesis runs with a fixed seed and
 no example database, so a verdict does not depend on earlier runs.
 
-It is not part of tier-1 (a full run takes a few minutes). Run it by hand
+It is not part of tier-1 (a full run takes a few minutes), but
+``tests/test_mutants.py`` is: it checks that each text still occurs once, so
+a change that strands a mutant fails the suite. Run this script by hand
 from the repository root and commit the kill matrix it prints:
 
     python tests/mutants.py > tests/golden/mutants.txt
@@ -94,14 +96,20 @@ MUTANTS = (
            "present.pop(key, None)", "present.get(key)", ("test_stream_io.py",)),
     # the three overflow refusals
     Mutant("schedule.overflowed-threshold-kept", "schedule.py",
-           "if thresholds[-1] == math.inf:", "if False:", ("test_schedule.py",)),
+           "if top == math.inf:", "if False:", ("test_schedule.py",)),
     Mutant("combine.overflowed-estimate-kept", "reduction.py",
            "if not math.isfinite(a_next):", "if False:", ("test_reduction.py",)),
     Mutant("oracle.overflowed-matching-weight-kept", "oracle.py",
            "if value == math.inf:", "if False:", ("test_oracle.py",)),
     # the schedule and level routing
-    Mutant("schedule.levels-floor", "schedule.py",
-           "levels = math.ceil(span)", "levels = math.floor(span)", ("test_schedule.py",)),
+    Mutant("schedule.level-past-the-one-reaching-wmax", "schedule.py",
+           "while top < wmax:", "while top <= wmax:", ("test_schedule.py",)),
+    Mutant("schedule.cap-one-level-late", "schedule.py",
+           "if levels == MAX_LEVELS:", "if levels == MAX_LEVELS + 1:", ("test_schedule.py",)),
+    Mutant("schedule.cap-one-level-early", "schedule.py",
+           "if levels == MAX_LEVELS:", "if levels == MAX_LEVELS - 1:", ("test_schedule.py",)),
+    Mutant("schedule.one-threshold-short", "schedule.py",
+           "repeat(step, levels)", "repeat(step, levels - 1)", ("test_schedule.py",)),
     Mutant("top_level.bisect_left", "schedule.py",
            "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
            ("test_schedule.py",)),
@@ -132,6 +140,17 @@ MUTANTS = (
     Mutant("lemma2.weight-unchecked", "reduction.py",
            "return sum(picked) >= report.estimate * (1.0 - REL_SLACK)", "return True",
            ("test_reduction.py",)),
+    Mutant("lemma2.per-level-count-unchecked", "reduction.py",
+           "if len(picked) < st.b:", "if False:", ("test_reduction.py",)),
+    Mutant("lemma2.level-edges-strictly-heavier", "reduction.py",
+           "for e in snapshot.edges if e[2] >= t)", "for e in snapshot.edges if e[2] > t)",
+           ("test_reduction.py",)),
+    Mutant("lemma2.upper-half-without-2", "reduction.py",
+           "> 2 * lam * st.b:", "> lam * st.b:", ("test_reduction.py",)),
+    Mutant("lemma2.lambda-fixed-at-2", "reduction.py",
+           "lam = ESTIMATORS[report.estimator].LAM", "lam = 2.0", ("test_reduction.py",)),
+    Mutant("lemma2.cap-unchecked", "reduction.py",
+           "    check_oracle_cap(snapshot.edges)\n    lam", "    lam", ("test_reduction.py",)),
     # the estimators
     Mutant("exact.no-guard-bit", "estimators.py",
            "(n * (n - 1) // 2).bit_length() + 1", "(n * (n - 1) // 2).bit_length()",
@@ -146,6 +165,30 @@ MUTANTS = (
     Mutant("exact.words-without-the-gap", "estimators.py",
            "len(level) + (self._gap >> i * width & field)", "len(level)",
            ("test_estimators.py",)),
+    Mutant("exact.gap-read-one-field-up", "estimators.py",
+           "(self._gap >> i * width & field)", "(self._gap >> (i + 1) * width & field)",
+           ("test_estimators.py",)),
+    Mutant("exact.prefix-shift-one-over", "estimators.py",
+           "self._ones >> (self.levels - top) * width",
+           "self._ones >> (self.levels - top + 1) * width", ("test_estimators.py",)),
+    Mutant("exact.prefix-shift-one-under", "estimators.py",
+           "self._ones >> (self.levels - top) * width",
+           "self._ones >> (self.levels - top - 1) * width", ("test_estimators.py",)),
+    Mutant("exact.guard-one-bit-low", "estimators.py",
+           "guards = ones << width - 1", "guards = ones << width - 2", ("test_estimators.py",)),
+    Mutant("exact.delete-leaves-the-gap", "estimators.py",
+           "self._gap += ones", "pass", ("test_estimators.py",)),
+    Mutant("exact.cap-unchecked-up-front", "estimators.py",
+           "check_oracle_cap(self._edges)  # level 0", "pass  # level 0", ("test_estimators.py",)),
+    # dynamify's indexed placement
+    Mutant("dynamify.gap-offset-one-over", "generators.py",
+           "gaps[g].insert(j - before - 1, upd)", "gaps[g].insert(j - before, upd)",
+           ("test_generators.py",)),
+    Mutant("dynamify.reinsert-bound-one-short", "generators.py",
+           "j2 = rng.randint(j1 + 1, size + 1)", "j2 = rng.randint(j1 + 1, size)",
+           ("test_generators.py",)),
+    Mutant("dynamify.chosen-index-for-the-first-equal", "generators.py",
+           "pos = position(first[upd])", "pos = position(orig_idx)", ("test_generators.py",)),
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
            "            if state > nxt.get(key, unset):\n                nxt[key] = state\n"
@@ -161,6 +204,16 @@ MUTANTS = (
            "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2 + 1",
            ("test_oracle.py",),
            "no matching beats |V|//2, so the search only stops later with the same answer"),
+    Mutant("mcm.stop-only-past-the-ceiling", "oracle.py",
+           "if len(best) >= ceiling:", "if len(best) > ceiling:", ("test_oracle.py",),
+           "no matching passes |V|//2, so the search runs out with the same answer"),
+    Mutant("mcm.no-early-stop", "oracle.py",
+           "                break\n", "                pass\n", ("test_oracle.py",),
+           "the search runs out instead of stopping, with the same answer"),
+    Mutant("mcm.bound-keeps-ties", "oracle.py",
+           "len(chosen) + m - idx <= len(best)", "len(chosen) + m - idx < len(best)",
+           ("test_oracle.py",),
+           "a branch that can at best tie is explored, but only a strict gain replaces best"),
     Mutant("mcm.keeps-ties", "oracle.py",
            "if len(chosen) > len(best):", "if len(chosen) >= len(best):", ("test_oracle.py",)),
     Mutant("mcm.no-vertex-check", "oracle.py",

@@ -124,6 +124,21 @@ def test_a_value_past_the_float_range_exits_4_and_writes_no_json(tmp_path, capsy
     assert capsys.readouterr() == ("", f"wmstream: {message}\n")
 
 
+def test_estimate_at_wmax_2_to_the_1023_builds_1023_levels(tmp_path, capsys):
+    # the threshold products reach 2**1023 at level 1023; no level past it
+    # is needed, so the schedule does not overflow
+    top = repr(2.0**1023)
+    assert top == "8.98846567431158e+307"
+    path = tmp_path / "top.stream"
+    path.write_text(f"n 2 wmax {top} model insert-only\n+ 1 2 {top}\n")
+    assert main(["estimate", "--stream", str(path), "--epsilon", "1", "--verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["T"] == 1023
+    assert payload["levels"][0]["threshold"] == 2.0**1023
+    assert payload["estimate"] == payload["oracle_mwm"] == 2.0**1023
+    assert payload["sandwich_ok"] is True
+
+
 def test_oracle_capacity_exit_code(tmp_path):
     lines = ["n 26 wmax 1 model insert-only"]
     lines += [f"+ 1 {i} 1" for i in range(2, 27)]

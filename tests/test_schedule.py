@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wmstream import CapacityError, ParameterError, WeightRangeError, build_schedule, top_level
 from wmstream.schedule import MAX_LEVELS
@@ -19,6 +19,29 @@ def test_degenerate_single_level():
     s = build_schedule(0.5, 1.0)
     assert s.levels == 0
     assert s.thresholds == (1.0,)
+
+
+def test_a_power_of_two_gets_its_exponent_at_epsilon_1():
+    # the float quotient log(2**k) / log1p(1) overshoots k for 220 of these
+    for k in range(1024):
+        s = build_schedule(1.0, 2.0**k)
+        assert s.levels == k
+        assert s.thresholds[-1] == 2.0**k
+
+
+@example(epsilon=0.1, wmax=1.1)  # log(1.1) / log1p(0.1) is just above 1
+@given(epsilon=st.floats(0.0, 1.0, exclude_min=True), wmax=st.floats(1.0, 1e6))
+def test_the_top_threshold_is_the_first_to_reach_wmax(epsilon, wmax):
+    try:
+        s = build_schedule(epsilon, wmax)
+    except CapacityError:
+        # refused only when MAX_LEVELS steps stay below wmax; a power and
+        # 2**18 rounded products differ by far less than 1e-9
+        assert (1.0 + epsilon) ** MAX_LEVELS < wmax * (1.0 + 1e-9)
+        return
+    assert s.thresholds[-1] >= wmax
+    if s.levels > 0:
+        assert s.thresholds[-2] < wmax
 
 
 def test_half_epsilon_thresholds():
@@ -118,15 +141,33 @@ def test_a_schedule_over_max_levels_is_refused_before_it_is_built(epsilon, wmax)
     assert peak < 1 << 20
 
 
+def _product_count(step: float, wmax: float) -> int:
+    """How many multiplications by ``step`` take 1.0 to ``wmax`` or past it."""
+    top, count = 1.0, 0
+    while top < wmax:
+        top *= step
+        count += 1
+    return count
+
+
 def test_max_levels_is_the_longest_schedule_built():
     assert build_schedule(1e-5, 4.0).levels == 138_631
-    # the smallest epsilon whose schedule at wmax 4 fits, and the one below it
-    epsilon = math.expm1(math.log(4.0) / MAX_LEVELS)
-    while math.log(4.0) / math.log1p(epsilon) <= MAX_LEVELS:
-        epsilon = math.nextafter(epsilon, 0.0)
-    with pytest.raises(CapacityError):
-        build_schedule(epsilon, 4.0)
-    assert build_schedule(math.nextafter(epsilon, 1.0), 4.0).levels == MAX_LEVELS
+    # the smallest step 1 + epsilon whose products reach 4 within the cap
+    step = 1.0 + math.expm1(math.log(4.0) / MAX_LEVELS)
+    while _product_count(step, 4.0) <= MAX_LEVELS:
+        step = math.nextafter(step, 1.0)
+    while _product_count(step, 4.0) > MAX_LEVELS:
+        step = math.nextafter(step, 2.0)
+    # the smallest epsilon that rounds to it: 1 + epsilon is a tie between
+    # step and the float below it at step - 1 - 2**-53, resolved to the even one
+    epsilon = step - 1.0 - 2.0**-53
+    if 1.0 + epsilon != step:
+        epsilon = math.nextafter(epsilon, 1.0)
+    s = build_schedule(epsilon, 4.0)
+    assert s.levels == MAX_LEVELS
+    assert s.thresholds[-2] < 4.0 <= s.thresholds[-1]
+    with pytest.raises(CapacityError, match=f"more than {MAX_LEVELS} levels"):
+        build_schedule(math.nextafter(epsilon, 0.0), 4.0)
 
 
 def test_a_top_threshold_past_the_float_range_is_refused():

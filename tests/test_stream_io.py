@@ -2,6 +2,7 @@ import gc
 import io
 import random
 import tracemalloc
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -271,11 +272,14 @@ SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
 
 
 def _block_stream(blocks: int, tail: bytes) -> bytes:
-    """A valid dynamic stream on vertices 1..38 that fills ``blocks`` read
-    blocks, followed by ``tail``. Its lines end in every separator that
-    ``str.splitlines`` knows, with comments, blank lines and multi-byte
-    UTF-8 between them. The last LF before each block boundary follows a
-    two-byte character, and a four-byte one straddles the boundary."""
+    """A valid dynamic stream on vertices 1..38 that the reader takes in
+    ``blocks`` pieces, followed by ``tail``. Its lines end in every separator
+    that ``str.splitlines`` knows, with comments, blank lines and multi-byte
+    UTF-8 between them. Each piece's ``_BLOCK``-byte read starts where the
+    previous piece ended and stops inside a four-byte character; the last LF
+    before that stop follows a two-byte character, and ``readline()`` ends
+    the piece at the LF of the four-byte character's line. The pieces that
+    ``stream_io._text_pieces`` yields are checked to end there."""
     rng = random.Random(5)
     size = stream_io._BLOCK
     out = bytearray("# wmstream ✓ 𝄞 é\u2028\nn 40 wmax 8 model dynamic\r\n".encode())
@@ -296,13 +300,19 @@ def _block_stream(blocks: int, tail: bytes) -> bytes:
         live[u, v] = rng.randint(1, 8)
         return f"+ {u} {v} {live[u, v]}"
 
-    for k in range(1, blocks + 1):
-        while len(out) < k * size - 200:
+    ends: list[int] = []
+    for _ in range(blocks):
+        stop = (ends[-1] if ends else 0) + size  # where this piece's read stops
+        while len(out) < stop - 200:
             out += (line() + rng.choice(SEPARATORS)).encode()
-        out += ("#" + "x" * (k * size - 6 - len(out)) + "é\n").encode()  # LF at k*size - 3
-        out += "#𝄞 across the block boundary\u2028\n".encode()
-        assert out.index("𝄞".encode(), k * size - 3) == k * size - 1
-    return bytes(out) + tail
+        out += ("#" + "x" * (stop - 6 - len(out)) + "é\n").encode()  # LF at stop - 3
+        out += "#𝄞 across the read's stop\u2028\n".encode()
+        assert out.index("𝄞".encode(), stop - 3) == stop - 1
+        ends.append(len(out))
+    data = bytes(out) + tail
+    pieces = islice(stream_io._text_pieces(data), blocks)
+    assert list(accumulate(len(piece.encode()) for piece in pieces)) == ends
+    return data
 
 
 def test_an_open_file_parses_as_its_bytes_and_its_text():
