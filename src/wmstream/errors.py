@@ -50,8 +50,10 @@ class CapabilityError(WmStreamError):
 
 class CapacityError(WmStreamError):
     """An instance exceeds a size cap: the exhaustive oracle's, the level
-    schedule's (``schedule.MAX_LEVELS``), or a vertex count ``n`` too large
-    for the greedy estimator's per-vertex list."""
+    schedule's (``schedule.MAX_LEVELS``), a vertex count ``n`` too large
+    for the greedy estimator's per-vertex list, or the float range (a top
+    threshold in ``build_schedule``, an estimate in ``combine``, a matching
+    weight in ``exact_mwm``)."""
 
     exit_code = 4
 

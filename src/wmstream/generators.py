@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
@@ -35,9 +37,10 @@ class GenConfig(NamedTuple):
 
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    # Kruskal on a randomly permuted complete-graph edge list
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    rng.shuffle(pairs)
+    # Kruskal on a random permutation of the complete graph's pairs u < v,
+    # packed as u*(n+1)+v: 8 bytes a pair, and shuffle draws by length alone
+    keys = array("Q", (u * (n + 1) + v for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    rng.shuffle(keys)
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -47,7 +50,8 @@ def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
         return x
 
     tree = []
-    for u, v in pairs:
+    for key in keys:
+        u, v = divmod(key, n + 1)
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -58,30 +62,21 @@ def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 
 def _forest_union(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
-    seen = set()
-    edges = []
-    for _ in range(config.nu):
-        for edge in _random_spanning_tree(config.n, rng):  # u < v already
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
-    return config.n, edges
+    # the first copy of each edge of nu spanning trees, u < v already
+    trees = (_random_spanning_tree(config.n, rng) for _ in range(config.nu))
+    return config.n, list(dict.fromkeys(chain.from_iterable(trees)))
 
 
 def _grid(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
-    rows, cols = config.rows, config.cols
-
-    def vid(r: int, c: int) -> int:
-        return r * cols + c + 1
-
+    # row-major ids 1..n: v's right neighbour is v+1 unless v ends a row
+    cols, n = config.cols, config.rows * config.cols
     edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    return rows * cols, edges
+    for v in range(1, n + 1):
+        if v % cols:
+            edges.append((v, v + 1))
+        if v + cols <= n:
+            edges.append((v, v + cols))
+    return n, edges
 
 
 def _erdos_renyi(config: GenConfig, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -169,14 +164,17 @@ def dynamify(
     churn: float,
     seed: int,
 ) -> tuple[StreamHeader, list[StreamUpdate]]:
-    """Turn an insertion-only stream into a dynamic one by giving a churn
-    fraction of edges a delete + re-insert pair at random later positions;
-    when ``round(churn * m)`` is 0 it comes back unchanged and insert-only.
-    The replayed final snapshot is unchanged. O(m log m) for m updates."""
+    """Turn an insertion-only stream of distinct edges into a dynamic one by
+    giving a churn fraction of edges a delete + re-insert pair at random later
+    positions; when ``round(churn * m)`` is 0 it comes back unchanged and
+    insert-only. The replayed final snapshot is unchanged. O(m log m) for m
+    updates. A delete, or an edge repeated in either orientation, is refused."""
     if not (0.0 <= churn <= 1.0):
         raise ParameterError(f"churn must be in [0, 1], got {churn}")
     if any(op != INSERT for op, _, _, _ in updates):
         raise ParameterError("dynamify input must be insertion-only")
+    if len({(min(u, v), max(u, v)) for _, u, v, _ in updates}) < len(updates):
+        raise ParameterError("dynamify input must not repeat an edge")
 
     m = len(updates)
     k = round(churn * m)
@@ -187,11 +185,7 @@ def dynamify(
     # The output is kept as the originals in order, each followed by the
     # updates placed in the gap after it. A Fenwick tree over 1 + gap size per
     # original gives an original's position, and the gap that holds any
-    # position, in O(log m) where a list search and insert cost O(m). Like
-    # that search, an update is found at the first original equal to it.
-    first: dict[StreamUpdate, int] = {}
-    for i, upd in enumerate(updates):
-        first.setdefault(upd, i)
+    # position, in O(log m) where a list search and insert cost O(m).
     gaps: list[list[StreamUpdate]] = [[] for _ in range(m)]
     tree = [i & -i for i in range(m + 1)]  # every original alone: all ones
     size = m
@@ -217,12 +211,9 @@ def dynamify(
             tree[g] += 1
             g += g & -g
 
-    chosen = rng.sample(range(m), k)
-    for orig_idx in sorted(chosen):
-        upd = updates[orig_idx]
-        _, u, v, w = upd
-        pos = position(first[upd])
-        j1 = rng.randint(pos + 1, size)
+    for orig_idx in sorted(rng.sample(range(m), k)):
+        _, u, v, w = updates[orig_idx]
+        j1 = rng.randint(position(orig_idx) + 1, size)
         place(j1, StreamUpdate(DELETE, u, v, w))
         j2 = rng.randint(j1 + 1, size + 1)
         place(j2, StreamUpdate(INSERT, u, v, w))

@@ -169,7 +169,7 @@ def _parse_header(parts: list[str], raw: str, lineno: int) -> StreamHeader:
     if n < 1:
         raise ParseError(f"n must be >= 1, got {n}", lineno)
     if not (math.isfinite(wmax) and wmax >= 1.0):
-        raise ParseError(f"wmax must be >= 1, got {wmax}", lineno)
+        raise ParseError(f"wmax must be finite and >= 1, got {wmax}", lineno)
     return StreamHeader(n, wmax, model)
 
 

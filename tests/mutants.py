@@ -151,6 +151,11 @@ MUTANTS = (
            "lam = ESTIMATORS[report.estimator].LAM", "lam = 2.0", ("test_reduction.py",)),
     Mutant("lemma2.cap-unchecked", "reduction.py",
            "    check_oracle_cap(snapshot.edges)\n    lam", "    lam", ("test_reduction.py",)),
+    Mutant("lemma2.maximal-level-matching", "reduction.py",
+           "exact_mcm(level).witness",
+           '__import__("functools").reduce(lambda ms, e: ms if {e[0], e[1]} & '
+           '{x for f in ms for x in f[:2]} else ms + [e], level.edges, [])',
+           ("test_reduction.py",)),
     # the estimators
     Mutant("exact.no-guard-bit", "estimators.py",
            "(n * (n - 1) // 2).bit_length() + 1", "(n * (n - 1) // 2).bit_length()",
@@ -187,8 +192,17 @@ MUTANTS = (
     Mutant("dynamify.reinsert-bound-one-short", "generators.py",
            "j2 = rng.randint(j1 + 1, size + 1)", "j2 = rng.randint(j1 + 1, size)",
            ("test_generators.py",)),
-    Mutant("dynamify.chosen-index-for-the-first-equal", "generators.py",
-           "pos = position(first[upd])", "pos = position(orig_idx)", ("test_generators.py",)),
+    Mutant("dynamify.repeated-edge-accepted", "generators.py",
+           "if len({(min(u, v), max(u, v)) for _, u, v, _ in updates}) < len(updates):",
+           "if False:", ("test_generators.py",)),
+    # the generated graphs
+    Mutant("grid.last-row-unlinked", "generators.py",
+           "if v + cols <= n:", "if v + cols < n:", ("test_generators.py",)),
+    Mutant("grid.row-ends-linked", "generators.py",
+           "if v % cols:", "if True:", ("test_generators.py",)),
+    Mutant("forest.duplicates-kept", "generators.py",
+           "list(dict.fromkeys(chain.from_iterable(trees)))", "list(chain.from_iterable(trees))",
+           ("test_generators.py",)),
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
            "            if state > nxt.get(key, unset):\n                nxt[key] = state\n"

@@ -434,8 +434,8 @@ def test_eval_row_of_an_unknown_family_is_a_parameter_error(tmp_path, capsys):
     ("# only a comment\n\n", "missing header line"),
     ("n two wmax 1 model insert-only\n",
      "line 1: bad header numbers in 'n two wmax 1 model insert-only'"),
-    ("n 2 wmax 0.5 model insert-only\n", "line 1: wmax must be >= 1, got 0.5"),
-    ("n 2 wmax inf model insert-only\n", "line 1: wmax must be >= 1, got inf"),
+    ("n 2 wmax 0.5 model insert-only\n", "line 1: wmax must be finite and >= 1, got 0.5"),
+    ("n 2 wmax inf model insert-only\n", "line 1: wmax must be finite and >= 1, got inf"),
 ])
 def test_estimate_stream_refusals(tmp_path, capsys, text, message):
     path = tmp_path / "bad.stream"

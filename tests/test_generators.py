@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,17 @@ def test_forest_union_respects_arboricity_bound(nu, seed):
     config = GenConfig(family="forest-union", n=9, nu=nu, weights="constant", seed=seed)
     header, updates = generate(config)
     assert arboricity(unit_snapshot(header, updates)) <= nu
+
+
+def test_forest_union_holds_no_quadratic_edge_list():
+    # a list of (u, v) tuples over all n(n-1)/2 pairs peaks at about 3.2 MiB here
+    tracemalloc.start()
+    try:
+        generate(GenConfig(family="forest-union", n=300, nu=2, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_3x3_shape_and_arboricity():
@@ -167,12 +179,29 @@ def test_dynamify_matches_the_list_search_reference(churn):
         assert dynamify(header, updates, churn, seed) == dynamify_reference(
             header, updates, churn, seed
         )
-        # repeated updates: both place a repeat's pair after the first copy
+        # a repeated edge is refused; these draws keep the later cases as they were
         repeated = updates + rng.choices(updates, k=len(updates) // 2)
         rng.shuffle(repeated)
-        assert dynamify(header, repeated, churn, seed) == dynamify_reference(
-            header, repeated, churn, seed
-        )
+        if len(repeated) > len(updates):
+            with pytest.raises(ParameterError, match="must not repeat an edge"):
+                dynamify(header, repeated, churn, seed)
+        else:
+            assert dynamify(header, repeated, churn, seed) == dynamify_reference(
+                header, repeated, churn, seed
+            )
+
+
+@pytest.mark.parametrize("churn", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("repeat", [
+    StreamUpdate(INSERT, 1, 2, 3.0),  # the same tuple
+    StreamUpdate(INSERT, 2, 1, 3.0),  # the pair reversed
+    StreamUpdate(INSERT, 1, 2, 1.0),  # the pair at another weight
+])
+def test_dynamify_refuses_a_repeated_edge(churn, repeat):
+    header = StreamHeader(3, 4.0, INSERT_ONLY)
+    updates = [StreamUpdate(INSERT, 1, 2, 3.0), StreamUpdate(INSERT, 2, 3, 1.0), repeat]
+    with pytest.raises(ParameterError, match="must not repeat an edge"):
+        dynamify(header, updates, churn, 1)
 
 
 def test_dynamify_rejects_dynamic_input():
