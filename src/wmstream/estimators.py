@@ -109,8 +109,10 @@ class ExactOfflineEstimator:
     (a level at its peak raises its peak instead), and a delete adds one to
     each; either is a few big-int operations, whatever ``levels`` is.
     ``finalize`` grows one edge list from the top level down, each level
-    adding the pairs whose top it is, and asks the oracle only at a level
-    that added some; a level's words are the list's length plus its gap."""
+    adding the pairs whose top it is. It asks the oracle only at a level
+    that added some and whose value carried down from above (a floor, as the
+    levels are nested) is below |V| // 2, the ceiling of any matching there;
+    a level's words are the list's length plus its gap."""
 
     LAM = 1.0
     SUPPORTS_DELETES = True
@@ -156,11 +158,13 @@ class ExactOfflineEstimator:
             added.setdefault(top, []).append((u, v, 1.0))
         width = self._width
         field = (1 << width) - 1
-        level, value, out = [], 0.0, []
+        level, value, out, ends = [], 0.0, [], set()
         for i in range(self.levels, -1, -1):
             if i in added:  # a level that adds no edges keeps the value above it
                 level += added[i]
-                value = float(exact_mcm(GraphSnapshot(self.n, tuple(level))).value)
+                ends.update(x for u, v, _ in added[i] for x in (u, v))
+                if value < len(ends) // 2:  # else the value is at the ceiling
+                    value = float(exact_mcm(GraphSnapshot(self.n, tuple(level))).value)
             out.append(McmEstimate(value, len(level) + (self._gap >> i * width & field)))
         return out[::-1]
 

@@ -10,10 +10,11 @@ and both return the lexicographically smallest optimal witness:
 - ``exact_mwm`` runs a forward dynamic program. Its states are the used
   vertices that a later edge still touches, so its cost follows the width of
   that frontier rather than the 2^m include/exclude choices.
-- ``exact_mcm`` runs an include/exclude branch-and-bound that counts edges
-  and reads no weight. Its floor(|V|/2) ceiling ends the search at the first
-  matching that large, an early stop the dynamic program has no counterpart
-  for.
+- ``exact_mcm`` runs an include/exclude branch-and-bound that reads no
+  weight. A branch adds at most one edge per two free vertices that its
+  remaining edges touch, and is pruned when that many cannot beat the best;
+  the floor(|V|/2) ceiling ends the search at the first matching that
+  large, an early stop the dynamic program has no counterpart for.
 
 The weighted branch-and-bound that the dynamic program is checked against
 lives with the tests, in ``tests/helpers.py``.
@@ -61,10 +62,15 @@ def check_oracle_cap(edges) -> None:
         raise CapacityError(f"{len(edges)} edges exceed oracle cap {MAX_ORACLE_EDGES}")
 
 
-def _edge_masks(edges) -> list[int]:
-    """Each edge as the bit mask of its two endpoints, one bit per vertex."""
+def _edge_masks(edges) -> tuple[list[int], list[int]]:
+    """Each edge as the bit mask of its two endpoints, one bit per vertex,
+    and the suffix unions: ``later[i]`` holds the vertices of edges i..m-1."""
     bit = {x: i for i, x in enumerate(sorted({x for u, v, _ in edges for x in (u, v)}))}
-    return [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
+    masks = [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
+    later = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        later[i] = later[i + 1] | masks[i]
+    return masks, later
 
 
 def _mwm_frontier(edges):
@@ -74,10 +80,7 @@ def _mwm_frontier(edges):
     best of them is kept."""
     check_oracle_cap(edges)
     m = len(edges)
-    masks = _edge_masks(edges)
-    later = [0] * (m + 1)  # later[i]: the vertices of edges i..m-1
-    for i in range(m - 1, -1, -1):
-        later[i] = later[i + 1] | masks[i]
+    masks, later = _edge_masks(edges)
     # A state maps its frontier to (value, chosen), edge i being bit m-1-i
     # of chosen. Of two witnesses of equal value, neither is a prefix of the
     # other (weights are positive), so the lexicographically smaller one has
@@ -103,12 +106,13 @@ def _mwm_frontier(edges):
 
 def _mcm_search(edges):
     """(size, witness) of a maximum cardinality matching of the sorted
-    edges, the lexicographically smallest of that size."""
+    edges, the lexicographically smallest of that size. A branch at edge
+    idx adds at most one edge per two free vertices that edges idx..m-1
+    touch, so it is pruned when that many cannot beat the best."""
     check_oracle_cap(edges)
-    masks = _edge_masks(edges)
-    m = len(edges)
+    masks, later = _edge_masks(edges)
     # A matching has at most |V| // 2 edges; one that large cannot be improved.
-    ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2
+    ceiling = later[0].bit_count() // 2
     best: tuple[int, ...] = ()
 
     # Include-first DFS over sorted edges visits witnesses in lexicographic
@@ -121,7 +125,8 @@ def _mcm_search(edges):
             best = chosen
             if len(best) >= ceiling:
                 break
-        if idx == m or len(chosen) + m - idx <= len(best):
+        # later[m] is empty, so a branch past the last edge is pruned here
+        if len(chosen) + (later[idx] & ~used).bit_count() // 2 <= len(best):
             continue
         # pushed in reverse so the include branch is explored first
         stack.append((idx + 1, used, chosen))

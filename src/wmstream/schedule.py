@@ -49,10 +49,8 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
         raise ParameterError(f"epsilon must be finite, got {epsilon!r}")
     if not (0.0 < epsilon <= 1.0):
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not (isinstance(wmax, (int, float)) and math.isfinite(wmax)):
-        raise ParameterError(f"wmax must be finite, got {wmax!r}")
-    if wmax < 1.0:
-        raise ParameterError(f"wmax must be >= 1, got {wmax}")
+    if not (isinstance(wmax, (int, float)) and math.isfinite(wmax) and wmax >= 1.0):
+        raise ParameterError(f"wmax must be finite and >= 1, got {wmax!r}")
 
     epsilon, wmax = float(epsilon), float(wmax)
     step = 1.0 + epsilon  # 1.0 for a tiny epsilon: the cap ends the loop

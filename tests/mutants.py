@@ -17,6 +17,9 @@ from the repository root and commit the kill matrix it prints:
 
     python tests/mutants.py > tests/golden/mutants.txt
 
+Names given as arguments, ``python tests/mutants.py NAME_PREFIX ...``,
+run only the mutants whose names start with one of them (``mcm.`` rechecks
+the cardinality search in about 30 s); the committed matrix is the full run's.
 Progress goes to stderr. The exit code is 1 if the unmutated copy fails, a
 mutant's text is not found exactly once, or a mutant survives that is not
 marked equivalent; an equivalent mutant carries the reason why no test can
@@ -185,6 +188,11 @@ MUTANTS = (
            "self._gap += ones", "pass", ("test_estimators.py",)),
     Mutant("exact.cap-unchecked-up-front", "estimators.py",
            "check_oracle_cap(self._edges)  # level 0", "pass  # level 0", ("test_estimators.py",)),
+    Mutant("exact.skip-one-below-the-ceiling", "estimators.py",
+           "if value < len(ends) // 2:", "if value < len(ends) // 2 - 1:",
+           ("test_estimators.py",)),
+    Mutant("exact.no-ceiling-skip", "estimators.py",
+           "if value < len(ends) // 2:", "if True:", ("test_estimators.py",)),
     # dynamify's indexed placement
     Mutant("dynamify.gap-offset-one-over", "generators.py",
            "gaps[g].insert(j - before - 1, upd)", "gaps[g].insert(j - before, upd)",
@@ -210,12 +218,10 @@ MUTANTS = (
            "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
            "            if not", ("test_oracle.py",)),
     Mutant("mcm.ceiling-one-short", "oracle.py",
-           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2",
-           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2 - 1",
+           "ceiling = later[0].bit_count() // 2", "ceiling = later[0].bit_count() // 2 - 1",
            ("test_oracle.py",)),
     Mutant("mcm.ceiling-one-over", "oracle.py",
-           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2",
-           "ceiling = len({x for u, v, _ in edges for x in (u, v)}) // 2 + 1",
+           "ceiling = later[0].bit_count() // 2", "ceiling = later[0].bit_count() // 2 + 1",
            ("test_oracle.py",),
            "no matching beats |V|//2, so the search only stops later with the same answer"),
     Mutant("mcm.stop-only-past-the-ceiling", "oracle.py",
@@ -225,9 +231,13 @@ MUTANTS = (
            "                break\n", "                pass\n", ("test_oracle.py",),
            "the search runs out instead of stopping, with the same answer"),
     Mutant("mcm.bound-keeps-ties", "oracle.py",
-           "len(chosen) + m - idx <= len(best)", "len(chosen) + m - idx < len(best)",
-           ("test_oracle.py",),
-           "a branch that can at best tie is explored, but only a strict gain replaces best"),
+           ".bit_count() // 2 <= len(best)", ".bit_count() // 2 < len(best)",
+           ("test_oracle.py",)),
+    Mutant("mcm.bound-one-short", "oracle.py",
+           ".bit_count() // 2 <= len(best)", ".bit_count() // 2 - 1 <= len(best)",
+           ("test_oracle.py",)),
+    Mutant("mcm.bound-read-one-edge-late", "oracle.py",
+           "(later[idx] & ~used)", "(later[idx + 1] & ~used)", ("test_oracle.py",)),
     Mutant("mcm.keeps-ties", "oracle.py",
            "if len(chosen) > len(best):", "if len(chosen) >= len(best):", ("test_oracle.py",)),
     Mutant("mcm.no-vertex-check", "oracle.py",
@@ -258,19 +268,23 @@ def pytest_fails(copy: Path, tests) -> bool:
     return code != 0
 
 
-def main() -> int:
+def main(prefixes) -> int:
+    mutants = [m for m in MUTANTS if not prefixes or m.name.startswith(tuple(prefixes))]
+    if not mutants:
+        sys.stderr.write(f"no mutant name starts with {' or '.join(prefixes)}\n")
+        return 1
     with tempfile.TemporaryDirectory(prefix="wmstream-mutants-") as tmp:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", copy / "tests",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        all_tests = sorted({name for m in MUTANTS for name in m.tests})
+        all_tests = sorted({name for m in mutants for name in m.tests})
         if pytest_fails(copy, all_tests):
             sys.stderr.write(f"the unmutated copy fails {' '.join(all_tests)}\n")
             return 1
         lines, bad = [], 0
-        for m in MUTANTS:
+        for m in mutants:
             target = copy / "src" / "wmstream" / m.path
             original = target.read_text(encoding="utf-8")
             if original.count(m.old) != 1:
@@ -296,4 +310,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -506,6 +506,23 @@ def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
     assert got == want
 
 
+def test_exact_finalize_skips_a_level_whose_value_is_already_at_its_ceiling(monkeypatch):
+    asked = []
+
+    def counted(snapshot):
+        asked.append(len(snapshot.edges))
+        return exact_mcm(snapshot)
+
+    monkeypatch.setattr(estimators, "exact_mcm", counted)
+    # at eps 1 and wmax 4 the heavy edges reach level 2; they match all four
+    # vertices, so level 0, which adds the light (2, 3), cannot beat their 2
+    schedule = build_schedule(1.0, 4.0)
+    stream = [(INSERT, 1, 2, 4.0), (INSERT, 3, 4, 4.0), (INSERT, 2, 3, 1.0)]
+    got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 4, stream)
+    assert asked == [2]
+    assert got == want
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_walk_carries_values_down_through_levels_that_add_no_edges(seed):
     # eps 0.1 at wmax 64 gives 44 levels, and a churned stream drained to at

@@ -230,6 +230,33 @@ def test_mwm_on_wide_frontiers_at_the_cap_agrees_with_networkx(shape, seed):
     assert (result.value, result.witness) == _mwm_search(list(graph.edges))
 
 
+def _random_matching(rng):
+    # a matching of up to 24 edges over up to 48 vertices, some of its
+    # pairs then joined by extra edges up to the cap
+    ends = rng.sample(range(1, 49), 2 * rng.randint(1, 24))
+    pairs = {(min(ends[i], ends[i + 1]), max(ends[i], ends[i + 1]))
+             for i in range(0, len(ends), 2)}
+    while len(pairs) < MAX_ORACLE_EDGES and rng.random() < 0.8:
+        u, v = rng.sample(ends, 2)
+        pairs.add((min(u, v), max(u, v)))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("shape", [_two_layer, _ladder, _random_matching])
+@pytest.mark.parametrize("seed", range(6))
+def test_mcm_matches_the_unit_weight_reference_on_sparse_graphs(shape, seed):
+    # the free vertices a branch can still reach bound it more tightly than
+    # its remaining edges do; a relabelling varies the sorted edge order
+    rng = random.Random(seed)
+    pairs = shape(rng) if shape is _random_matching else shape()
+    ids = sorted({x for e in pairs for x in e})
+    label = dict(zip(ids, rng.sample(range(1, 49), len(ids))))
+    graph = snap(48, [(label[u], label[v], 1) for u, v in pairs])
+    assert len(graph.edges) <= MAX_ORACLE_EDGES
+    mcm = exact_mcm(graph)
+    assert (mcm.value, mcm.witness) == _mwm_search(list(graph.edges))
+
+
 def test_a_matching_weight_past_the_float_range_is_refused():
     heavy = snap(4, [(1, 2, 1e308), (3, 4, 1e308)])
     with pytest.raises(CapacityError, match="^the matching weight is past the float range$"):

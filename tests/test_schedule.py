@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -63,6 +64,13 @@ def test_half_epsilon_thresholds():
 def test_rejects_bad_parameters(epsilon, wmax):
     with pytest.raises(ParameterError):
         build_schedule(epsilon, wmax)
+
+
+@pytest.mark.parametrize("wmax", [0.5, 0, float("inf"), float("nan"), "4"])
+def test_a_bad_wmax_is_refused_in_the_parser_s_words(wmax):
+    message = f"wmax must be finite and >= 1, got {wmax!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build_schedule(0.5, wmax)
 
 
 def test_top_level_boundaries():
