@@ -22,6 +22,7 @@ from .oracle import OracleResult, exact_mcm, exact_mwm
 from .reduction import (
     LevelState,
     RunReport,
+    Verdict,
     check_lemma1,
     check_lemma2,
     check_observations,
@@ -29,6 +30,7 @@ from .reduction import (
     combine,
     report_to_dict,
     run,
+    verify,
 )
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import (

@@ -15,21 +15,8 @@ from . import generators, oracle, reduction, stream_io
 from .errors import InvariantError, ParameterError, ParseError, WmStreamError
 from .estimators import ESTIMATORS, EXACT_OFFLINE
 
-CSV_COLUMNS = [
-    "config",
-    "epsilon",
-    "estimator",
-    "lambda",
-    "estimate",
-    "oracle_mwm",
-    "ratio",
-    "bound",
-    "lemma1_ok",
-    "obs_ok",
-    "lemma2_ok",
-    "total_words",
-    "status",
-]
+CSV_COLUMNS = ["config", "epsilon", "estimator", "lambda", "estimate",
+               *reduction.Verdict._fields[:6], "total_words", "status"]
 
 
 def _read_stream(path: str):
@@ -44,18 +31,22 @@ def _write(content: str | typing.Iterable[str], path: str | None = None) -> None
         fh.writelines([content] if isinstance(content, str) else content)
 
 
+# Verdict field -> the check that `estimate --verify` names when it is the first to fail
+_VERIFY_FAILURES = {"sandwich_ok": "approximation sandwich", "lemma1_ok": "lemma 1",
+                    "obs_ok": "observations", "lemma2_ok": "lemma 2"}
+
+
 def cmd_estimate(args) -> int:
     header, updates = _read_stream(args.stream)
     report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
-    verify = {}
+    extra = {}
     if args.verify:
-        result = oracle.exact_mwm(stream_io.replay(header, updates))
-        _, bound, ok = reduction.check_sandwich(report, result.value)
-        verify = {"oracle_mwm": result.value, "bound": bound, "sandwich_ok": ok}
-
-    _write(reduction.report_json(report, verify), args.out)
-    if verify and not verify["sandwich_ok"]:
-        raise InvariantError("approximation sandwich violated")
+        verdict = reduction.verify(report, stream_io.replay(header, updates))
+        extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
+    _write(reduction.report_json(report, extra), args.out)
+    if args.verify and not verdict.ok:
+        raise InvariantError(next(f"{name} violated" for key, name in _VERIFY_FAILURES.items()
+                                  if not getattr(verdict, key)))
     return 0
 
 
@@ -152,36 +143,15 @@ def parse_suite(text: str | bytes) -> list[SuiteRow]:
 def run_suite_row(row: SuiteRow) -> dict:
     """Execute one eval row; pure function of the row, safe to parallelize."""
     out = dict.fromkeys(CSV_COLUMNS, "")
-    out.update({
-        "config": row.config.summary(),
-        "epsilon": row.epsilon,
-        "estimator": row.estimator,
-        "lambda": ESTIMATORS[row.estimator].LAM,
-        "status": "ok",
-        "exit_code": 0,
-    })
+    out.update({"config": row.config.summary(), "epsilon": row.epsilon, "estimator": row.estimator,
+                "lambda": ESTIMATORS[row.estimator].LAM, "status": "ok", "exit_code": 0})
     try:
         header, updates = generators.generate(row.config)
         report = reduction.run(header, updates, row.epsilon, row.delta, row.estimator)
-        snapshot = stream_io.replay(header, updates)
-        result = oracle.exact_mwm(snapshot)
-        ratio, bound, sandwich_ok = reduction.check_sandwich(report, result.value)
-        lemma1_ok = reduction.check_lemma1(report)
-        obs_ok = reduction.check_observations(report)
-        lemma2_ok = reduction.check_lemma2(report, snapshot, [w for _, _, w in result.witness])
-        out.update(
-            estimate=report.estimate,
-            oracle_mwm=result.value,
-            ratio=ratio,
-            bound=bound,
-            lemma1_ok=lemma1_ok,
-            obs_ok=obs_ok,
-            lemma2_ok=lemma2_ok,
-            total_words=report.total_words,
-        )
-        if not (lemma1_ok and obs_ok and lemma2_ok and sandwich_ok):
-            out["status"] = "invariant-failure"
-            out["exit_code"] = 5
+        verdict = reduction.verify(report, stream_io.replay(header, updates))
+        out.update(verdict._asdict(), estimate=report.estimate, total_words=report.total_words)
+        if not verdict.ok:
+            out.update(status="invariant-failure", exit_code=InvariantError.exit_code)
     except WmStreamError as exc:
         out["status"] = f"error:{type(exc).__name__}"
         out["exit_code"] = exc.exit_code
@@ -247,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--delta", type=float, default=0.1)
     p_est.add_argument("--estimator", choices=ESTIMATORS, default=EXACT_OFFLINE)
     p_est.add_argument("--verify", action="store_true",
-                       help="also run the exact oracle and check the sandwich")
+                       help="also judge the run as eval does: the exact oracle, the "
+                       "sandwich and the lemma checks; a failed check exits 5")
     p_est.add_argument("--out")
     p_est.set_defaults(func=cmd_estimate)
 

@@ -59,6 +59,7 @@ class CapacityError(WmStreamError):
 
 
 class InvariantError(WmStreamError):
-    """A checked invariant failed on actual data."""
+    """A check of ``reduction.verify`` failed on actual data: ``estimate
+    --verify`` raises it, and ``eval`` exits with its code."""
 
     exit_code = 5

@@ -1,8 +1,9 @@
 """Exhaustive ground truth on small graphs: exact MWM and exact MCM.
 
 The exact estimator's ``finalize`` and lemma 2's check call ``exact_mcm``;
-eval and ``estimate --verify`` call ``exact_mwm``. A size cap keeps every
-call well under a second; larger inputs are refused, not degraded.
+``reduction.verify`` and ``oracle --mode mwm`` call ``exact_mwm``. A size
+cap keeps every call well under a second; larger inputs are refused, not
+degraded.
 
 Two exact searches over the sorted edge list answer the matching questions,
 and both return the lexicographically smallest optimal witness:

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParameterError
 from .estimators import ESTIMATORS, make_estimator
-from .oracle import check_oracle_cap, exact_mcm
+from .oracle import check_oracle_cap, exact_mcm, exact_mwm
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate
 
@@ -197,6 +197,31 @@ def check_lemma2(
         if sum(1 for w in matching_weights if w >= t) > 2 * lam * st.b:
             return False
     return sum(picked) >= report.estimate * (1.0 - REL_SLACK)
+
+
+class Verdict(NamedTuple):
+    oracle_mwm: float
+    ratio: float
+    bound: float
+    lemma1_ok: bool
+    obs_ok: bool
+    lemma2_ok: bool
+    sandwich_ok: bool
+    ok: bool  # all four checks hold
+
+
+def verify(report: RunReport, snapshot: GraphSnapshot) -> Verdict:
+    """The one verdict of ``eval`` and ``estimate --verify`` on a report from
+    ``run`` and its final graph: the exact MWM, then the sandwich, lemma 1,
+    the observations and lemma 2. A snapshot past the 24-edge oracle cap
+    raises CapacityError from ``exact_mwm`` before any check runs."""
+    result = exact_mwm(snapshot)
+    ratio, bound, sandwich_ok = check_sandwich(report, result.value)
+    lemma1_ok = check_lemma1(report)
+    obs_ok = check_observations(report)
+    lemma2_ok = check_lemma2(report, snapshot, [w for _, _, w in result.witness])
+    return Verdict(result.value, ratio, bound, lemma1_ok, obs_ok, lemma2_ok, sandwich_ok,
+                   lemma1_ok and obs_ok and lemma2_ok and sandwich_ok)
 
 
 def report_to_dict(report: RunReport) -> dict:

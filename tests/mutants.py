@@ -245,12 +245,26 @@ MUTANTS = (
            "chosen + (idx,)))",
            "        stack.append((idx + 1, used | masks[idx], chosen + (idx,)))",
            ("test_oracle.py",)),
-    # the verdicts
-    Mutant("eval.sandwich-verdict-dropped", "cli.py",
-           "if not (lemma1_ok and obs_ok and lemma2_ok and sandwich_ok):",
-           "if not (lemma1_ok and obs_ok and lemma2_ok):", ("test_cli.py",)),
+    # the one verdict and its two readers
+    Mutant("verdict.sandwich-dropped", "reduction.py",
+           "lemma1_ok and obs_ok and lemma2_ok and sandwich_ok",
+           "lemma1_ok and obs_ok and lemma2_ok", ("test_cli.py",)),
+    Mutant("verdict.lemma1-dropped", "reduction.py",
+           "lemma1_ok and obs_ok and lemma2_ok and sandwich_ok",
+           "obs_ok and lemma2_ok and sandwich_ok", ("test_cli.py",)),
+    Mutant("verdict.observations-dropped", "reduction.py",
+           "lemma1_ok and obs_ok and lemma2_ok and sandwich_ok",
+           "lemma1_ok and lemma2_ok and sandwich_ok", ("test_cli.py",)),
+    Mutant("verdict.lemma2-dropped", "reduction.py",
+           "lemma1_ok and obs_ok and lemma2_ok and sandwich_ok",
+           "lemma1_ok and obs_ok and sandwich_ok", ("test_cli.py",)),
+    Mutant("eval.verdict-ignored", "cli.py",
+           "        if not verdict.ok:\n", "        if False:\n", ("test_cli.py",)),
     Mutant("estimate.verify-verdict-dropped", "cli.py",
-           'if verify and not verify["sandwich_ok"]:', "if False:", ("test_cli.py",)),
+           "if args.verify and not verdict.ok:", "if False:", ("test_cli.py",)),
+    Mutant("estimate.verify-reads-the-sandwich-alone", "cli.py",
+           "if args.verify and not verdict.ok:", "if args.verify and not verdict.sandwich_ok:",
+           ("test_cli.py",)),
 )
 
 

@@ -478,20 +478,36 @@ def test_eval_invariant_failure_writes_every_row_and_exits_5(tmp_path, capsys, m
     assert capsys.readouterr().err == f"eval: {greedy['config']}: invariant-failure\n"
 
 
+# each check forced to fail -> the name `estimate --verify` gives it
 _FAILED_CHECKS = {
-    "check_lemma1": lambda report: False,
-    "check_observations": lambda report: False,
-    "check_lemma2": lambda report, snapshot, matching_weights: False,
-    "check_sandwich": lambda report, mwm: (1.0, 2.0, False),
+    "check_lemma1": (lambda report: False, "lemma 1"),
+    "check_observations": (lambda report: False, "observations"),
+    "check_lemma2": (lambda report, snapshot, matching_weights: False, "lemma 2"),
+    "check_sandwich": (lambda report, mwm: (1.0, 2.0, False), "approximation sandwich"),
 }
 
 
 @pytest.mark.parametrize("check", sorted(_FAILED_CHECKS))
-def test_each_failed_check_alone_makes_an_eval_row_an_invariant_failure(monkeypatch, check):
-    monkeypatch.setattr(reduction, check, _FAILED_CHECKS[check])
-    row = parse_suite("family=grid\nrows=2\ncols=2\nestimator=exact\n")[0]
-    result = run_suite_row(row)
-    assert (result["status"], result["exit_code"]) == ("invariant-failure", 5)
+def test_each_failed_check_alone_makes_an_eval_row_an_invariant_failure(
+        two_edge_file, tmp_path, capsys, monkeypatch, check):
+    # both commands share one verdict: eval marks the row and exits 5, and
+    # `estimate --verify` writes its report, names the check and exits 5
+    forced, name = _FAILED_CHECKS[check]
+    monkeypatch.setattr(reduction, check, forced)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n")
+    rows = tmp_path / "rows.csv"
+    assert main(["eval", "--suite", str(suite), "--out", str(rows)]) == 5
+    (row,) = csv.DictReader(line for line in rows.read_text().splitlines()
+                            if not line.startswith("#"))
+    assert row["status"] == "invariant-failure"
+
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--stream", two_edge_file, "--epsilon", "1", "--verify",
+                 "--out", str(out)]) == 5
+    assert list(json.loads(out.read_text()))[-3:] == ["oracle_mwm", "bound", "sandwich_ok"]
+    assert capsys.readouterr().err == (f"eval: {row['config']}: invariant-failure\n"
+                                       f"wmstream: {name} violated\n")
 
 
 def test_estimate_verify_sandwich_violation_writes_the_report_and_exits_5(

@@ -10,6 +10,7 @@ from wmstream import (
     GenConfig,
     ParameterError,
     RunReport,
+    Verdict,
     WeightRangeError,
     build_schedule,
     check_lemma1,
@@ -25,8 +26,10 @@ from wmstream import (
     report_to_dict,
     run,
     top_level,
+    verify,
 )
 from wmstream.estimators import EXACT_OFFLINE, GREEDY
+from wmstream import reduction
 from wmstream.reduction import LevelState, report_json
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 
@@ -262,6 +265,34 @@ def test_check_lemma2_refuses_a_graph_over_the_oracle_cap():
     assert all(st.delta_count == 0 for st in report.levels)
     with pytest.raises(CapacityError):
         check_lemma2(report, replay(header, updates), [])
+
+
+def test_verify_is_the_oracle_and_the_four_checks():
+    header, updates = parse_stream(TWO_EDGE_STREAM)
+    snapshot = replay(header, updates)
+    weights = [w for _, _, w in exact_mwm(snapshot).witness]
+    for kind in (EXACT_OFFLINE, GREEDY):
+        report = run(header, updates, 1.0, 0.1, kind)
+        ratio, bound, sandwich_ok = check_sandwich(report, 5.0)
+        lemma2_ok = check_lemma2(report, snapshot, weights)
+        assert verify(report, snapshot) == Verdict(
+            5.0, ratio, bound, check_lemma1(report), check_observations(report), lemma2_ok,
+            sandwich_ok, True)
+
+
+def test_verify_refuses_a_graph_over_the_oracle_cap_before_any_check(monkeypatch):
+    def called(*args):
+        raise AssertionError("a check ran")
+
+    for check in ("check_sandwich", "check_lemma1", "check_observations", "check_lemma2"):
+        monkeypatch.setattr(reduction, check, called)
+    stream = "n 50 wmax 1 model insert-only\n" + "".join(
+        f"+ {2 * i + 1} {2 * i + 2} 1\n" for i in range(25)
+    )
+    header, updates = parse_stream(stream)
+    report = run(header, [], 0.5, 0.1, GREEDY)
+    with pytest.raises(CapacityError, match="exceed oracle cap 24"):
+        verify(report, replay(header, updates))
 
 
 # The stream is + 4 5 11, + 3 4 30, + 2 4 43, + 1 6 51, + 1 4 62: the edge of
