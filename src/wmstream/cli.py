@@ -37,13 +37,15 @@ _VERIFY_FAILURES = {"sandwich_ok": "approximation sandwich", "lemma1_ok": "lemma
 
 
 def cmd_estimate(args) -> int:
-    header, updates = _read_stream(args.stream)
-    report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
-    extra = {}
-    if args.verify:
-        verdict = reduction.verify(report, stream_io.replay(header, updates))
-        extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
-    _write(reduction.report_json(report, extra), args.out)
+    with stream_io.CollectorPaused():  # until `del updates` frees the records
+        header, updates = _read_stream(args.stream)
+        report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
+        extra = {}
+        if args.verify:
+            verdict = reduction.verify(report, stream_io.replay(header, updates))
+            extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
+        _write(reduction.report_json(report, extra), args.out)
+        del updates
     if args.verify and not verdict.ok:
         raise InvariantError(next(f"{name} violated" for key, name in _VERIFY_FAILURES.items()
                                   if not getattr(verdict, key)))

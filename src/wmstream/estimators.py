@@ -97,6 +97,8 @@ class ExactOfflineEstimator:
     """Retains the live edge set, each pair with its top level, and computes
     each level's exact MCM at finalize via the oracle: exact, not sublinear;
     the words counter (per level, the peak number of live pairs) shows it.
+    A pair is keyed by ``u*(n+1)+v`` (u < v) as in ``_live_edges``, and
+    ``finalize`` decodes the key with ``divmod`` as ``replay`` does.
     Like ``replay``, it refuses an insert of a live pair, a delete of an
     absent one and a delete at another top level. It cannot see a delete's
     weight or the stream model, which ``replay`` and the parser check.
@@ -120,7 +122,7 @@ class ExactOfflineEstimator:
     def __init__(self, n: int, levels: int):
         self.n = n
         self.levels = levels
-        self._edges: dict[tuple[int, int], int] = {}  # live pair -> top level
+        self._edges: dict[int, int] = {}  # packed live pair -> top level
         self._width = width = (n * (n - 1) // 2).bit_length() + 1
         # a 1 in the low bit of each of the levels + 1 fields
         self._ones = ((1 << width * (levels + 1)) - 1) // ((1 << width) - 1)
@@ -129,12 +131,12 @@ class ExactOfflineEstimator:
     def update(self, op: str, u: int, v: int, top: int = 0) -> None:
         if u == v or not (0 < u <= self.n and 0 < v <= self.n and 0 <= top <= self.levels):
             raise _refusal(self, u, v, top)
-        key = (u, v) if u < v else (v, u)
-        width = self._width
+        size, width = self.n + 1, self._width
+        key = u * size + v if u < v else v * size + u
         ones = self._ones >> (self.levels - top) * width  # levels 0..top
         if op == INSERT:
             if key in self._edges:
-                raise StreamError(f"duplicate insert of edge {key}")
+                raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
             self._edges[key] = top
             guards = ones << width - 1
             gap = self._gap
@@ -145,17 +147,17 @@ class ExactOfflineEstimator:
             raise StreamError(f"unknown op {op!r}")
         at = self._edges.get(key)
         if at is None:
-            raise StreamError(f"delete of absent edge {key}")
+            raise StreamError(f"delete of absent edge {divmod(key, size)}")
         if at != top:
-            raise StreamError(f"edge {key} at top level {top}, live at {at}")
+            raise StreamError(f"edge {divmod(key, size)} at top level {top}, live at {at}")
         del self._edges[key]
         self._gap += ones
 
     def finalize(self) -> list[McmEstimate]:
         check_oracle_cap(self._edges)  # level 0 holds every live pair
         added: dict[int, list] = {}  # level i adds the pairs whose top is i
-        for (u, v), top in self._edges.items():
-            added.setdefault(top, []).append((u, v, 1.0))
+        for key, top in self._edges.items():
+            added.setdefault(top, []).append((*divmod(key, self.n + 1), 1.0))
         width = self._width
         field = (1 << width) - 1
         level, value, out, ends = [], 0.0, [], set()

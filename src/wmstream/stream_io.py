@@ -80,7 +80,7 @@ def parse_stream(source: str | bytes | BinaryIO):
     multiset error on an earlier line is reported before a line error on a
     later one. Each block is decoded just before its lines are read, so a
     line or multiset error in an earlier block is reported before a
-    non-UTF-8 byte in a later one."""
+    non-UTF-8 byte in a later one. The collector is paused while it builds the records."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     for lineno, raw in lines:  # blank and comment lines as in _checked_records
         parts = raw.split()
@@ -90,16 +90,23 @@ def parse_stream(source: str | bytes | BinaryIO):
     else:
         raise ParseError("missing header line")
     updates: list[StreamUpdate] = []
-    # The records hold no reference cycles, so the collector would only walk
-    # them over and over as the list grows.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with CollectorPaused():
         _live_edges(header, _checked_records(header, lines, updates.append))
-    finally:
-        if collecting:
-            gc.enable()
     return header, updates
+
+
+class CollectorPaused:
+    """Keeps the cyclic collector off in a ``with`` block, then leaves it as it
+    was found. Update records hold no reference cycles, so while they are
+    alive a collection would only walk them (``estimate`` holds them in one)."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):  # allocates nothing once the collector is back on
+        if self.collecting:
+            gc.enable()
 
 
 def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
@@ -125,17 +132,18 @@ def _checked_records(
     """Each update line of ``lines`` as a record, checked against the header;
     ``keep`` receives every record before it is yielded. A line is split
     once (``str.split`` and ``str.strip`` know the same whitespace) and
-    stripped only to quote it in an error. ``1.0 <= w <= wmax`` needs no
-    ``isfinite``: the header makes wmax finite, and nan fails every
+    stripped only to quote it in an error; only a line that is not four
+    fields led by an op is tested for blank or comment. ``1.0 <= w <= wmax``
+    needs no ``isfinite``: the header makes wmax finite, and nan fails every
     comparison. ``tuple.__new__`` builds a record as the NamedTuple's
     ``__new__`` does, without its Python frame."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     new = tuple.__new__
     for lineno, raw in lines:
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
+            if not parts or parts[0].startswith("#"):
+                continue
             raise ParseError(f"bad update {raw.strip()!r}", lineno)
         try:
             u, v, w = int(parts[1]), int(parts[2]), float(parts[3])

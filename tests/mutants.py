@@ -74,8 +74,8 @@ MUTANTS = (
            'if not parts or parts[0].startswith("#"):', 'if not parts or raw.startswith("#"):',
            ("test_stream_io.py",)),
     Mutant("records.split-on-spaces-only", "stream_io.py",
-           "        parts = raw.split()\n        if not parts or",
-           '        parts = raw.split(" ")\n        if not parts or', ("test_stream_io.py",)),
+           "        parts = raw.split()\n        if len(parts) != 4",
+           '        parts = raw.split(" ")\n        if len(parts) != 4', ("test_stream_io.py",)),
     Mutant("records.error-quotes-the-unstripped-line", "stream_io.py",
            'raise ParseError(f"bad update {raw.strip()!r}", lineno)',
            'raise ParseError(f"bad update {raw!r}", lineno)', ("test_stream_io.py",)),
@@ -97,6 +97,14 @@ MUTANTS = (
            "if key in present:", "if False:", ("test_stream_io.py",)),
     Mutant("multiset.delete-gets-and-keeps", "stream_io.py",
            "present.pop(key, None)", "present.get(key)", ("test_stream_io.py",)),
+    # the collector's pause over the records' lifetime
+    Mutant("pause.restore-dropped", "stream_io.py",
+           "        if self.collecting:\n", "        if False:\n",
+           ("test_stream_io.py", "test_cli.py")),
+    Mutant("estimate.pause-dropped", "cli.py",
+           "    with stream_io.CollectorPaused():", "    if True:", ("test_cli.py",)),
+    Mutant("estimate.records-freed-after-the-restore", "cli.py",
+           "        del updates\n", "", ("test_cli.py",)),
     # the three overflow refusals
     Mutant("schedule.overflowed-threshold-kept", "schedule.py",
            "if top == math.inf:", "if False:", ("test_schedule.py",)),
@@ -160,6 +168,15 @@ MUTANTS = (
            '{x for f in ms for x in f[:2]} else ms + [e], level.edges, [])',
            ("test_reduction.py",)),
     # the estimators
+    Mutant("exact.key-packed-unordered", "estimators.py",
+           "key = u * size + v if u < v else v * size + u", "key = u * size + v",
+           ("test_estimators.py",)),
+    Mutant("exact.key-width-n", "estimators.py",
+           "size, width = self.n + 1, self._width", "size, width = self.n, self._width",
+           ("test_estimators.py",)),
+    Mutant("exact.key-decoded-at-width-n", "estimators.py",
+           "(*divmod(key, self.n + 1), 1.0)", "(*divmod(key, self.n), 1.0)",
+           ("test_estimators.py",)),
     Mutant("exact.no-guard-bit", "estimators.py",
            "(n * (n - 1) // 2).bit_length() + 1", "(n * (n - 1) // 2).bit_length()",
            ("test_estimators.py",)),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -522,6 +523,54 @@ def test_estimate_verify_sandwich_violation_writes_the_report_and_exits_5(
     payload = json.loads(out.read_text())
     assert (payload["oracle_mwm"], payload["sandwich_ok"]) == (5.0, False)
     assert capsys.readouterr().err == "wmstream: approximation sandwich violated\n"
+
+
+# --- estimate keeps the collector paused while it holds the records -----------
+
+def _churned_text(live):
+    """Every pair of 100 vertices inserted and then, in the other orientation,
+    all but the first ``live`` deleted: 9,900 - live records."""
+    pairs = [(u, v) for u in range(1, 101) for v in range(u + 1, 101)]
+    return "n 100 wmax 4 model dynamic\n" + "".join(
+        [f"+ {u} {v} 2\n" for u, v in pairs] + [f"- {v} {u} 2\n" for u, v in pairs[live:]])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_estimate_keeps_the_collector_paused_until_it_frees_the_records(
+        tmp_path, capsys, monkeypatch, enabled):
+    stream = tmp_path / "churn.stream"
+    young = []  # for each collection started, the objects of generation 0 it walks
+
+    def counted(phase, info):
+        if phase == "start":
+            young.append(len(gc.get_objects(0)))
+
+    def estimate(text):
+        stream.write_text(text)
+        young.clear()
+        gc.callbacks.append(counted)
+        try:
+            code = main(["estimate", "--stream", str(stream), "--epsilon", "1", "--verify",
+                         "--out", str(tmp_path / "report.json")])
+        finally:
+            gc.callbacks.remove(counted)
+        assert gc.isenabled() is enabled
+        return code
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert estimate(_churned_text(3)) == 0
+        assert young == []  # any collection after the parse would walk 9,897 records
+        assert estimate(_churned_text(3) + "+ 1 2 x\n") == 2
+        assert estimate(_churned_text(25)) == 4  # exact refuses 25 live pairs
+        monkeypatch.setattr(reduction, "check_lemma1", lambda report: False)
+        assert estimate(_churned_text(3)) == 5
+        assert all(size < 4950 for size in young)  # the records were freed first
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "wmstream: 25 edges exceed oracle cap 24", "wmstream: lemma 1 violated"]
 
 
 # --- the report is encoded straight into its file ----------------------------

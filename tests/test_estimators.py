@@ -483,6 +483,33 @@ def test_exact_and_replay_refuse_what_a_simple_graph_cannot_hold(stream, message
         est.update(op, u, v)
 
 
+@pytest.mark.parametrize("first,second", [((1, 4), (4, 1)), ((4, 1), (1, 4))],
+                         ids=["low-id-first", "high-id-first"])
+def test_exact_refusals_name_the_ordered_pair_in_either_orientation(first, second):
+    # ids 1 and n are the ends of the packed key u*(n+1)+v
+    est = make_estimator(EXACT_OFFLINE, 4, 0.05, DYNAMIC, 3)
+    est.update(INSERT, *first, 2)
+    for update, message in [((INSERT, *second, 3), "duplicate insert of edge (1, 4)"),
+                            ((DELETE, *second, 1), "edge (1, 4) at top level 1, live at 2")]:
+        with pytest.raises(StreamError, match=f"^{re.escape(message)}$"):
+            est.update(*update)
+    est.update(DELETE, *second, 2)
+    with pytest.raises(StreamError, match=f"^{re.escape('delete of absent edge (1, 4)')}$"):
+        est.update(DELETE, *first, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nested_exact_matches_per_level_reference_with_pairs_in_both_orientations(seed):
+    # inserts arrive either way round and deletes low id first, on ids 1..n
+    n = 8
+    schedule = build_schedule(0.5, 16.0)
+    stream = _churned_stream(random.Random(seed), schedule, n, 60, 60)
+    assert {u < v for op, u, v, _ in stream if op == INSERT} == {True, False}
+    assert {1, n} <= {x for _, u, v, _ in stream for x in (u, v)}
+    got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, n, stream)
+    assert got == want
+
+
 def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
     asked = []
 
