@@ -36,16 +36,21 @@ _VERIFY_FAILURES = {"sandwich_ok": "approximation sandwich", "lemma1_ok": "lemma
                     "obs_ok": "observations", "lemma2_ok": "lemma 2"}
 
 
+def _estimate(args) -> reduction.Verdict | None:
+    """Write the report; the verdict with --verify. The records die with this frame."""
+    header, updates = _read_stream(args.stream)
+    report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
+    verdict, extra = None, {}
+    if args.verify:
+        verdict = reduction.verify(report, stream_io.replay(header, updates))
+        extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
+    _write(reduction.report_json(report, extra), args.out)
+    return verdict
+
+
 def cmd_estimate(args) -> int:
-    with stream_io.CollectorPaused():  # until `del updates` frees the records
-        header, updates = _read_stream(args.stream)
-        report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
-        extra = {}
-        if args.verify:
-            verdict = reduction.verify(report, stream_io.replay(header, updates))
-            extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
-        _write(reduction.report_json(report, extra), args.out)
-        del updates
+    with stream_io.CollectorPaused():  # until _estimate's frame frees the records
+        verdict = _estimate(args)
     if args.verify and not verdict.ok:
         raise InvariantError(next(f"{name} violated" for key, name in _VERIFY_FAILURES.items()
                                   if not getattr(verdict, key)))

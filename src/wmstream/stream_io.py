@@ -89,22 +89,31 @@ def parse_stream(source: str | bytes | BinaryIO):
             break
     else:
         raise ParseError("missing header line")
-    updates: list[StreamUpdate] = []
     with CollectorPaused():
-        _live_edges(header, _checked_records(header, lines, updates.append))
-    return header, updates
+        return header, _records(header, lines)
+
+
+def _records(header: StreamHeader, lines: Iterator[tuple[int, str]]) -> list[StreamUpdate]:
+    """The checked records of ``lines``, held by this frame alone until it returns."""
+    updates: list[StreamUpdate] = []
+    _live_edges(header, _checked_records(header, lines, updates.append))
+    return updates
 
 
 class CollectorPaused:
     """Keeps the cyclic collector off in a ``with`` block, then leaves it as it
     was found. Update records hold no reference cycles, so while they are
-    alive a collection would only walk them (``estimate`` holds them in one)."""
+    alive a collection would only walk them (``estimate`` holds them in one).
+    On an error the exit clears the finished frames of the traceback, so
+    records held in frames that the block calls die before it resumes."""
 
     def __enter__(self):
         self.collecting = gc.isenabled()
         gc.disable()
 
-    def __exit__(self, *exc_info):  # allocates nothing once the collector is back on
+    def __exit__(self, kind, error, tb):  # allocates nothing once the collector is back on
+        while tb and (tb := tb.tb_next):  # each frame below the block's own, still running
+            tb.tb_frame.clear()
         if self.collecting:
             gc.enable()
 
@@ -136,23 +145,36 @@ def _checked_records(
     fields led by an op is tested for blank or comment. ``1.0 <= w <= wmax``
     needs no ``isfinite``: the header makes wmax finite, and nan fails every
     comparison. ``tuple.__new__`` builds a record as the NamedTuple's
-    ``__new__`` does, without its Python frame."""
+    ``__new__`` does, without its Python frame. Records share one int per
+    vertex-id token: ``ids`` keeps a token's first int once it passed the
+    1..n check, and a line of two known tokens skips their ``int`` calls and
+    range check. ``ids`` is O(distinct tokens) and dies with the parse, so
+    where ids each occur once it only adds to the parse's peak."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     new = tuple.__new__
+    ids: dict[str, int] = {}
+    known = ids.get
     for lineno, raw in lines:
         parts = raw.split()
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
             if not parts or parts[0].startswith("#"):
                 continue
             raise ParseError(f"bad update {raw.strip()!r}", lineno)
+        _, a, b, weight = parts
+        u, v = known(a), known(b)
+        fresh = u is None or v is None
         try:
-            u, v, w = int(parts[1]), int(parts[2]), float(parts[3])
+            if fresh:
+                u, v = int(a), int(b)
+            w = float(weight)
         except ValueError:
             raise ParseError(f"bad update fields in {raw.strip()!r}", lineno) from None
         if op == DELETE and insert_only:
             raise ParseError("delete in insert-only stream", lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
+        if fresh:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
+            u, v = ids.setdefault(a, u), ids.setdefault(b, v)
         if u == v:
             raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
         if not 1.0 <= w <= wmax:

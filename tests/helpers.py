@@ -9,6 +9,7 @@ from wmstream import (
     GenConfig,
     GraphSnapshot,
     ParameterError,
+    ParseError,
     RunReport,
     StreamError,
     combine,
@@ -258,3 +259,35 @@ def dynamify_reference(header, updates, churn, seed):
         j2 = rng.randint(j1 + 1, len(out))
         out.insert(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
     return StreamHeader(header.n, header.wmax, DYNAMIC), out
+
+
+# --- the per-line checker before records shared their vertex ids --------------
+
+
+def checked_records_reference(header, lines, keep):
+    """``stream_io._checked_records`` before its id table: every line converts
+    both ids with ``int`` and range-checks them, so each record holds ints of
+    its own. The reference that the shared-id parse is checked against."""
+    n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
+    ops = {"+": INSERT, "-": DELETE}
+    for lineno, raw in lines:
+        parts = raw.split()
+        if len(parts) != 4 or (op := ops.get(parts[0])) is None:
+            if not parts or parts[0].startswith("#"):
+                continue
+            raise ParseError(f"bad update {raw.strip()!r}", lineno)
+        try:
+            u, v, w = int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise ParseError(f"bad update fields in {raw.strip()!r}", lineno) from None
+        if op == DELETE and insert_only:
+            raise ParseError("delete in insert-only stream", lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
+        if not 1.0 <= w <= wmax:
+            raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
+        record = StreamUpdate(op, u, v, w)
+        keep(record)
+        yield record

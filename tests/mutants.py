@@ -79,6 +79,22 @@ MUTANTS = (
     Mutant("records.error-quotes-the-unstripped-line", "stream_io.py",
            'raise ParseError(f"bad update {raw.strip()!r}", lineno)',
            'raise ParseError(f"bad update {raw!r}", lineno)', ("test_stream_io.py",)),
+    # the id table that records share their vertex ints through
+    Mutant("ids.known-path-never-taken", "stream_io.py",
+           "            u, v = ids.setdefault(a, u), ids.setdefault(b, v)\n", "",
+           ("test_stream_io.py",)),
+    Mutant("ids.new-object-replaces-the-first", "stream_io.py",
+           "u, v = ids.setdefault(a, u), ids.setdefault(b, v)", "ids[a], ids[b] = u, v",
+           ("test_stream_io.py",)),
+    Mutant("ids.fresh-only-when-both-tokens-are-new", "stream_io.py",
+           "fresh = u is None or v is None", "fresh = u is None and v is None",
+           ("test_stream_io.py",)),
+    Mutant("ids.range-unchecked-on-a-new-token", "stream_io.py",
+           "            if not (1 <= u <= n and 1 <= v <= n):\n"
+           "                raise ParseError(f\"vertex out of range in {raw.strip()!r}\", lineno)\n",
+           "", ("test_stream_io.py",)),
+    Mutant("ids.self-loop-by-identity", "stream_io.py",
+           "        if u == v:\n", "        if u is v:\n", ("test_stream_io.py",)),
     # the parser's range checks
     Mutant("parser.vertex-above-n-accepted", "stream_io.py",
            "if not (1 <= u <= n and 1 <= v <= n):", "if not (1 <= u <= n and 1 <= v <= n + 1):",
@@ -104,7 +120,17 @@ MUTANTS = (
     Mutant("estimate.pause-dropped", "cli.py",
            "    with stream_io.CollectorPaused():", "    if True:", ("test_cli.py",)),
     Mutant("estimate.records-freed-after-the-restore", "cli.py",
-           "        del updates\n", "", ("test_cli.py",)),
+           "        verdict = _estimate(args)\n",
+           "        header, updates = _read_stream(args.stream)\n        verdict = _estimate(args)\n",
+           ("test_cli.py",)),
+    Mutant("pause.error-frames-kept", "stream_io.py",
+           "            tb.tb_frame.clear()\n", "            pass\n",
+           ("test_stream_io.py", "test_cli.py")),
+    Mutant("parse.records-held-in-the-paused-frame", "stream_io.py",
+           "    with CollectorPaused():\n        return header, _records(header, lines)\n",
+           "    updates = []\n    with CollectorPaused():\n        _live_edges(header, "
+           "_checked_records(header, lines, updates.append))\n    return header, updates\n",
+           ("test_stream_io.py",)),
     # the three overflow refusals
     Mutant("schedule.overflowed-threshold-kept", "schedule.py",
            "if top == math.inf:", "if False:", ("test_schedule.py",)),

@@ -562,11 +562,14 @@ def test_estimate_keeps_the_collector_paused_until_it_frees_the_records(
         (gc.enable if enabled else gc.disable)()
         assert estimate(_churned_text(3)) == 0
         assert young == []  # any collection after the parse would walk 9,897 records
+        # on each exit, the records are freed before the collector resumes
         assert estimate(_churned_text(3) + "+ 1 2 x\n") == 2
+        assert all(size < 4950 for size in young)
         assert estimate(_churned_text(25)) == 4  # exact refuses 25 live pairs
+        assert all(size < 4950 for size in young)
         monkeypatch.setattr(reduction, "check_lemma1", lambda report: False)
         assert estimate(_churned_text(3)) == 5
-        assert all(size < 4950 for size in young)  # the records were freed first
+        assert all(size < 4950 for size in young)
     finally:
         (gc.enable if was else gc.disable)()
     assert capsys.readouterr().err.splitlines()[1:] == [

@@ -3,9 +3,10 @@ import io
 import random
 import tracemalloc
 from itertools import accumulate, islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wmstream import (
     GenConfig,
@@ -22,7 +23,7 @@ from wmstream import stream_io
 from wmstream.cli import main
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
 
-from helpers import snapshot_stream
+from helpers import checked_records_reference, snapshot_stream
 
 
 def test_parse_basic_insert_only():
@@ -523,3 +524,101 @@ def test_the_collector_is_paused_while_parsing_and_then_restored(enabled):
         (gc.enable if was else gc.disable)()
     # at most one per call, started by the first allocation after the restore
     assert collections.count("start") <= (2 if enabled else 0)
+
+
+# --- records share one int per vertex-id token --------------------------------
+
+def _parsed(text, checker=stream_io._checked_records):
+    """``parse_stream``'s records of ``text``, or its error's class, line and
+    message, with ``checker`` as its line checker."""
+    with mock.patch.object(stream_io, "_checked_records", checker):
+        try:
+            return parse_stream(text)[1]
+        except (ParseError, StreamError) as exc:
+            return type(exc), getattr(exc, "line", None), str(exc)
+
+
+# several spellings of a few ids of 400, ids past n or below 1, malformed ones
+ID_TOKENS = ["3", "03", "+3", "7", "07", "+7", "10", "1_0", "300", "0300", "+300", "3_00",
+             "301", "399", "400", "0", "401", "-1", "999", "x", "1.5", "7_", "0x1"]
+WEIGHT_TOKENS = ["1", "2", "2.0", "8", "9", "0.5", "x", "nan"]
+
+
+@st.composite
+def _id_streams(draw):
+    model = draw(st.sampled_from([INSERT_ONLY, DYNAMIC]))
+    line = st.one_of(
+        st.tuples(st.sampled_from("++++-"), st.sampled_from(ID_TOKENS),
+                  st.sampled_from(ID_TOKENS), st.sampled_from(WEIGHT_TOKENS)).map(" ".join),
+        st.sampled_from(["", "# 3 4 2", "+ 3 4", "* 3 4 2"]))
+    return f"n 400 wmax 8 model {model}\n" + "".join(
+        f"{text}\n" for text in draw(st.lists(line, max_size=30)))
+
+
+@given(_id_streams())
+@example("n 400 wmax 8 model dynamic\n+ 300 301 2\n+ 300 301 x\n")  # bad weight, known ids
+@example("n 400 wmax 8 model insert-only\n+ 300 301 2\n- 300 999 2\n")  # delete before range
+@example("n 400 wmax 8 model dynamic\n+ 3 4 2\n+ 3 03 2\n")  # a self-loop spelled two ways
+@example("n 400 wmax 8 model dynamic\n+ 300 4 2\n+ 0300 300 2\n")
+@example("n 400 wmax 8 model dynamic\n+ 7 300 2\n- 07 +300 2\n+ 1_0 3_00 2\n")
+def test_shared_ids_parse_as_the_reference_checker(text):
+    assert _parsed(text) == _parsed(text, checked_records_reference)
+
+
+def test_records_with_equal_id_tokens_hold_one_int_object():
+    text = ("n 2000 wmax 8 model dynamic\n+ 1000 1001 2\n+ 1000 1002 2\n"
+            "+ 1002 1001 2\n- 1000 1001 2\n+ 01000 1003 2\n")
+    _, updates = parse_stream(text)
+    tokens = [line.split()[1:3] for line in text.splitlines()[1:]]
+    first = {}
+    for (a, b), (_, u, v, _) in zip(tokens, updates):
+        assert first.setdefault(a, u) is u and first.setdefault(b, v) is v
+
+
+def _held_per_update(text, checker=stream_io._checked_records):
+    """Traced bytes that the parse of ``text`` leaves held, per record."""
+    with mock.patch.object(stream_io, "_checked_records", checker):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, updates = parse_stream(text)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    return held / len(updates)
+
+
+def test_records_over_repeated_ids_hold_about_a_third_less():
+    # 20,000 distinct pairs over the ids 1001..2000, past CPython's cached
+    # small ints: each id occurs about 40 times, and two ints of their own
+    # per record would hold about 167 B per update
+    rng = random.Random(5)
+    pairs = rng.sample([(u, v) for u in range(1001, 2001) for v in range(u + 1, 2001)], 20_000)
+    text = "n 2000 wmax 8 model insert-only\n" + "".join(f"+ {u} {v} 2\n" for u, v in pairs)
+    assert _held_per_update(text) < 125
+    assert _held_per_update(text, checked_records_reference) > 160
+
+
+def test_ids_that_each_occur_once_hold_no_more_than_the_reference():
+    # a perfect matching: no id repeats, and the id table dies with the parse
+    text = "n 20000 wmax 8 model insert-only\n" + "".join(
+        f"+ {u} {u + 1} 2\n" for u in range(1, 20_000, 2))
+    assert _held_per_update(text) <= _held_per_update(text, checked_records_reference) + 1
+
+
+def test_a_parse_error_frees_the_records_before_the_collector_resumes():
+    text = "n 100 wmax 4 model insert-only\n" + "".join(
+        f"+ {u} {v} 2\n" for u in range(1, 101) for v in range(u + 1, 101)) + "+ 1 2 x\n"
+    young = []  # for each collection started, the objects of generation 0 it walks
+    counted = lambda phase, info: phase == "start" and young.append(len(gc.get_objects(0)))  # noqa: E731
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(counted)
+    try:
+        with pytest.raises(ParseError):
+            parse_stream(text)
+        gc.collect(0)  # the records, were they still held, would all be in generation 0
+    finally:
+        gc.callbacks.remove(counted)
+        (gc.enable if was else gc.disable)()
+    assert young and all(size < 4950 for size in young)
