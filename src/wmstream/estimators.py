@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import CapabilityError, CapacityError, ParameterError, StreamError, WmStreamError
 from .oracle import check_oracle_cap, exact_mcm
-from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot
+from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot, n_refusal
 
 EXACT_OFFLINE = "exact"
 GREEDY = "greedy"
@@ -183,8 +183,8 @@ def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: in
         raise ParameterError(f"unknown estimator kind {kind!r}")
     if model == DYNAMIC and not cls.SUPPORTS_DELETES:
         raise CapabilityError(f"{kind} estimator does not support dynamic streams")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if refusal := n_refusal(n):
+        raise ParameterError(refusal)
     if not (0.0 < delta_prime < 1.0):
         raise ParameterError(f"delta_prime must be in (0, 1), got {delta_prime}")
     return cls(n, levels)

@@ -10,7 +10,8 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import ParameterError
-from .stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
+from .schedule import wmax_refusal
+from .stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate, n_refusal
 
 
 class GenConfig(NamedTuple):
@@ -100,17 +101,17 @@ def _powerlaw(config: GenConfig, rng: random.Random) -> float:
 
 
 # A family is (its fields in summary(), a str.format template; its (n, pairs)
-# builder; then its field checks, (holds(config), refusal template), in order).
+# builder; then its field checks in order, each a config's refusal or None).
 # A weight law is one draw, an order one in-place reordering of the (op, u, v, w) updates.
 _N_NU = "n={n},nu={nu}"
-_N_CHECK = (lambda c: c.n >= 1, "n must be >= 1, got {n}")
+_N_CHECK = lambda c: n_refusal(c.n)  # noqa: E731
 _FAMILIES = {
     "forest-union": (_N_NU, _forest_union, _N_CHECK,
-                     (lambda c: c.nu >= 1, "nu must be >= 1, got {nu}")),
-    "grid": ("{rows}x{cols}", _grid,
-             (lambda c: c.rows >= 1 and c.cols >= 1, "grid needs rows >= 1 and cols >= 1")),
+                     lambda c: None if c.nu >= 1 else f"nu must be >= 1, got {c.nu}"),
+    "grid": ("{rows}x{cols}", _grid, lambda c: None if c.rows >= 1 and c.cols >= 1
+             else "grid needs rows >= 1 and cols >= 1"),
     "erdos-renyi": ("n={n},p={p}", _erdos_renyi, _N_CHECK,
-                    (lambda c: 0.0 <= c.p <= 1.0, "p must be in [0, 1], got {p}")),
+                    lambda c: None if 0.0 <= c.p <= 1.0 else f"p must be in [0, 1], got {c.p}"),
 }
 _WEIGHT_LAWS = {
     "uniform-int": lambda config, rng: float(rng.randint(1, int(config.wmax))),
@@ -135,11 +136,11 @@ def _validate(config: GenConfig) -> None:
         raise ParameterError(f"unknown weight distribution {config.weights!r}")
     if config.order not in _ORDERS:
         raise ParameterError(f"unknown order {config.order!r}")
-    for holds, refusal in _FAMILIES[config.family][2:]:
-        if not holds(config):
-            raise ParameterError(refusal.format(**config._asdict()))
-    if not (math.isfinite(config.wmax) and config.wmax >= 1.0):
-        raise ParameterError(f"wmax must be finite and >= 1, got {config.wmax}")
+    for check in _FAMILIES[config.family][2:]:
+        if refusal := check(config):
+            raise ParameterError(refusal)
+    if refusal := wmax_refusal(config.wmax):
+        raise ParameterError(refusal)
     if not (math.isfinite(config.alpha) and config.alpha > 0.0):
         raise ParameterError(f"alpha must be finite and > 0, got {config.alpha}")
 

@@ -36,6 +36,13 @@ class LevelSchedule(NamedTuple):
     thresholds: tuple[float, ...]
 
 
+def wmax_refusal(wmax) -> str | None:
+    """The words refusing ``wmax``, or None for a finite number >= 1: the one
+    home of the wmax rule, which the parser and ``generate`` also call."""
+    ok = isinstance(wmax, (int, float)) and math.isfinite(wmax) and wmax >= 1.0
+    return None if ok else f"wmax must be finite and >= 1, got {wmax!r}"
+
+
 def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     """Construct the level schedule for granularity ``epsilon`` and declared
     maximum weight ``wmax``.
@@ -45,12 +52,10 @@ def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     lie in (0, 1]. More than MAX_LEVELS levels (refused before a threshold
     is stored) or a top threshold past the float range raise CapacityError.
     """
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
-        raise ParameterError(f"epsilon must be finite, got {epsilon!r}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not (isinstance(wmax, (int, float)) and math.isfinite(wmax) and wmax >= 1.0):
-        raise ParameterError(f"wmax must be finite and >= 1, got {wmax!r}")
+    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1.0):
+        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon!r}")
+    if refusal := wmax_refusal(wmax):
+        raise ParameterError(refusal)
 
     epsilon, wmax = float(epsilon), float(wmax)
     step = 1.0 + epsilon  # 1.0 for a tiny epsilon: the cap ends the loop

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import gc
 import io
-import math
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, StreamError
+from .schedule import wmax_refusal
 
 INSERT_ONLY = "insert-only"
 DYNAMIC = "dynamic"
@@ -196,11 +196,14 @@ def _parse_header(parts: list[str], raw: str, lineno: int) -> StreamHeader:
     model = parts[5]
     if model not in (INSERT_ONLY, DYNAMIC):
         raise ParseError(f"unknown model {model!r}", lineno)
-    if n < 1:
-        raise ParseError(f"n must be >= 1, got {n}", lineno)
-    if not (math.isfinite(wmax) and wmax >= 1.0):
-        raise ParseError(f"wmax must be finite and >= 1, got {wmax}", lineno)
+    if refusal := n_refusal(n) or wmax_refusal(wmax):
+        raise ParseError(refusal, lineno)
     return StreamHeader(n, wmax, model)
+
+
+def n_refusal(n: int) -> str | None:
+    """The words refusing ``n``, or None for an int >= 1: the one home of the n rule."""
+    return None if isinstance(n, int) and n >= 1 else f"n must be >= 1, got {n!r}"
 
 
 def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapshot:

@@ -131,6 +131,40 @@ MUTANTS = (
            "    updates = []\n    with CollectorPaused():\n        _live_edges(header, "
            "_checked_records(header, lines, updates.append))\n    return header, updates\n",
            ("test_stream_io.py",)),
+    # one home per validation rule: each predicate and message, and each
+    # raise site of the weight-range and edge words, which parity tests pin
+    Mutant("rules.n-bound-at-0", "stream_io.py",
+           "and n >= 1 else", "and n >= 0 else", ("test_schedule.py",)),
+    Mutant("rules.n-type-test-dropped", "stream_io.py",
+           "isinstance(n, int) and ", "", ("test_schedule.py",)),
+    Mutant("rules.wmax-finiteness-dropped", "schedule.py",
+           "math.isfinite(wmax) and wmax >= 1.0", "wmax >= 1.0", ("test_schedule.py",)),
+    Mutant("rules.wmax-bound-strict", "schedule.py",
+           "and wmax >= 1.0", "and wmax > 1.0", ("test_schedule.py",)),
+    Mutant("rules.wmax-type-test-dropped", "schedule.py",
+           "isinstance(wmax, (int, float)) and ", "", ("test_generators.py",)),
+    Mutant("rules.epsilon-upper-bound-open", "schedule.py",
+           "0.0 < epsilon <= 1.0", "0.0 < epsilon < 1.0", ("test_schedule.py",)),
+    Mutant("rules.epsilon-lower-bound-closed", "schedule.py",
+           "0.0 < epsilon <= 1.0", "0.0 <= epsilon <= 1.0", ("test_schedule.py",)),
+    Mutant("rules.n-message", "stream_io.py",
+           'f"n must be >= 1, got {n!r}"', 'f"n must be at least 1, got {n!r}"',
+           ("test_schedule.py",)),
+    Mutant("rules.wmax-message-unquoted", "schedule.py",
+           "got {wmax!r}", "got {wmax}", ("test_schedule.py",)),
+    Mutant("rules.epsilon-message-unquoted", "schedule.py",
+           "got {epsilon!r}", "got {epsilon}", ("test_schedule.py",)),
+    Mutant("rules.weight-message-in-parser", "stream_io.py",
+           'outside [1, {wmax}]"', 'outside [1, {wmax})"', ("test_schedule.py",)),
+    Mutant("rules.weight-message-in-top-level", "schedule.py",
+           'outside [1, {schedule.wmax}]"', 'outside [1, {schedule.wmax})"',
+           ("test_schedule.py",)),
+    Mutant("rules.edge-message-in-replay", "stream_io.py",
+           '"edge ({u}, {v}) is a self-loop', '"edge ({v}, {u}) is a self-loop',
+           ("test_estimators.py",)),
+    Mutant("rules.edge-message-in-update", "estimators.py",
+           '"edge ({u}, {v}) is a self-loop', '"edge ({v}, {u}) is a self-loop',
+           ("test_estimators.py",)),
     # the three overflow refusals
     Mutant("schedule.overflowed-threshold-kept", "schedule.py",
            "if top == math.inf:", "if False:", ("test_schedule.py",)),

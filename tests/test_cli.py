@@ -445,6 +445,13 @@ def test_estimate_stream_refusals(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"wmstream: {message}\n"
 
 
+@pytest.mark.parametrize("epsilon", ["0", "1.5", "nan", "inf"])
+def test_estimate_refuses_a_bad_epsilon_in_one_message(two_edge_file, capsys, epsilon):
+    assert main(["estimate", "--stream", two_edge_file, "--epsilon", epsilon]) == 2
+    assert capsys.readouterr().err == (
+        f"wmstream: epsilon must be in (0, 1], got {float(epsilon)!r}\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("estimator=exact\nrows=2\n", "suite block needs at least family= and estimator="),
     ("family=grid\nrows=2\n", "suite block needs at least family= and estimator="),

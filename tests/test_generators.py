@@ -110,7 +110,7 @@ def test_generate_rejects_bad_config():
         generate(GenConfig(family="erdos-renyi", n=5, p=1.5))
     with pytest.raises(ParameterError):
         generate(GenConfig(family="forest-union", n=0))
-    for bad in ({"wmax": float("inf")}, {"wmax": float("nan")},
+    for bad in ({"wmax": float("inf")}, {"wmax": float("nan")}, {"wmax": "8"},
                 {"weights": "powerlaw", "alpha": 0.0}, {"weights": "powerlaw", "alpha": -1.0},
                 {"weights": "powerlaw", "alpha": float("inf")}):
         with pytest.raises(ParameterError):

@@ -1,13 +1,25 @@
 import math
-import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from wmstream import CapacityError, ParameterError, WeightRangeError, build_schedule, top_level
+from wmstream import (
+    CapacityError,
+    GenConfig,
+    ParameterError,
+    ParseError,
+    WeightRangeError,
+    WmStreamError,
+    build_schedule,
+    generate,
+    make_estimator,
+    parse_stream,
+    top_level,
+)
 from wmstream.schedule import MAX_LEVELS
+from wmstream.stream_io import INSERT_ONLY
 
 
 def test_power_of_two_levels():
@@ -66,11 +78,65 @@ def test_rejects_bad_parameters(epsilon, wmax):
         build_schedule(epsilon, wmax)
 
 
-@pytest.mark.parametrize("wmax", [0.5, 0, float("inf"), float("nan"), "4"])
-def test_a_bad_wmax_is_refused_in_the_parser_s_words(wmax):
-    message = f"wmax must be finite and >= 1, got {wmax!r}"
-    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-        build_schedule(0.5, wmax)
+def refusal(call) -> tuple[type, str]:
+    """The class and the words of the error that ``call()`` raises."""
+    with pytest.raises(WmStreamError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# Each rule's three callers: the parser (one header field set to the value),
+# ``generate`` and the library call that checks it. The parser reads n as an
+# int and wmax as a float, so the other callers get the same types.
+CALLERS = {
+    "n": ("n {} wmax 4 model insert-only\n",
+          lambda n: generate(GenConfig("forest-union", n=n)),
+          lambda n: make_estimator("greedy", n, 0.5, INSERT_ONLY)),
+    "wmax": ("n 2 wmax {} model insert-only\n",
+             lambda wmax: generate(GenConfig("grid", rows=2, cols=2, wmax=wmax)),
+             lambda wmax: build_schedule(0.5, wmax)),
+}
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("wmax", 0.5, "wmax must be finite and >= 1, got 0.5"),
+    ("wmax", 0.0, "wmax must be finite and >= 1, got 0.0"),
+    ("wmax", math.inf, "wmax must be finite and >= 1, got inf"),
+    ("wmax", math.nan, "wmax must be finite and >= 1, got nan"),
+    ("n", 0, "n must be >= 1, got 0"),
+    ("n", -1, "n must be >= 1, got -1"),
+])
+def test_a_bad_n_or_wmax_is_refused_in_the_same_words_by_each_caller(field, value, words):
+    header, gen, library = CALLERS[field]
+    assert refusal(lambda: parse_stream(header.format(value))) == (ParseError, f"line 1: {words}")
+    assert refusal(lambda: gen(value)) == (ParameterError, words)
+    assert refusal(lambda: library(value)) == (ParameterError, words)
+
+
+# Values the parser never gives, as it reads n with int() and wmax with float().
+@pytest.mark.parametrize("field, value, words", [
+    ("wmax", 0, "wmax must be finite and >= 1, got 0"),
+    ("wmax", "8", "wmax must be finite and >= 1, got '8'"),
+    ("n", "5", "n must be >= 1, got '5'"),
+    ("n", 1.5, "n must be >= 1, got 1.5"),
+])
+def test_a_bad_value_only_the_library_can_pass_is_refused_in_the_same_words(field, value, words):
+    for call in CALLERS[field][1:]:
+        assert refusal(lambda: call(value)) == (ParameterError, words)
+
+
+@pytest.mark.parametrize("w", [0.5, 4.5, math.nan, math.inf, -math.inf])
+def test_a_weight_outside_1_to_wmax_is_refused_in_the_same_words_by_parser_and_top_level(w):
+    words = f"weight {w} outside [1, 4.0]"
+    stream = f"n 2 wmax 4 model insert-only\n+ 1 2 {w}\n"
+    assert refusal(lambda: parse_stream(stream)) == (ParseError, f"line 2: {words}")
+    assert refusal(lambda: top_level(build_schedule(0.5, 4.0), w)) == (WeightRangeError, words)
+
+
+@pytest.mark.parametrize("epsilon", [0, 0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, "0.5", None])
+def test_a_bad_epsilon_is_refused_in_one_message(epsilon):
+    assert refusal(lambda: build_schedule(epsilon, 4.0)) == (
+        ParameterError, f"epsilon must be in (0, 1], got {epsilon!r}")
 
 
 def test_top_level_boundaries():
