@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -36,8 +37,7 @@ _VERIFY_FAILURES = {"sandwich_ok": "approximation sandwich", "lemma1_ok": "lemma
                     "obs_ok": "observations", "lemma2_ok": "lemma 2"}
 
 
-def _estimate(args) -> reduction.Verdict | None:
-    """Write the report; the verdict with --verify. The records die with this frame."""
+def cmd_estimate(args) -> int:
     header, updates = _read_stream(args.stream)
     report = reduction.run(header, updates, args.epsilon, args.delta, args.estimator)
     verdict, extra = None, {}
@@ -45,12 +45,6 @@ def _estimate(args) -> reduction.Verdict | None:
         verdict = reduction.verify(report, stream_io.replay(header, updates))
         extra = {key: getattr(verdict, key) for key in ("oracle_mwm", "bound", "sandwich_ok")}
     _write(reduction.report_json(report, extra), args.out)
-    return verdict
-
-
-def cmd_estimate(args) -> int:
-    with stream_io.CollectorPaused():  # until _estimate's frame frees the records
-        verdict = _estimate(args)
     if args.verify and not verdict.ok:
         raise InvariantError(next(f"{name} violated" for key, name in _VERIFY_FAILURES.items()
                                   if not getattr(verdict, key)))
@@ -252,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic collector off. What a command builds
+    per update or per row holds no reference cycle, so a collection would
+    only walk it. The collector is turned back on, if it was on, once the
+    command's frames and, on an error, its traceback are gone."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except WmStreamError as exc:
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"wmstream: {exc}\n")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -72,9 +72,11 @@ class GreedyEstimator:
 
 
 def _refusal(est, u: int, v: int, top: int) -> WmStreamError:
-    """The error for an update that ``est`` refuses: a bad edge first, then
-    a top level outside 0..levels."""
-    if u == v or not (0 < u <= est.n and 0 < v <= est.n):
+    """The error for an update that ``est`` refuses: a bad edge first, named
+    smaller id first as ``replay`` names it, then a top level outside 0..levels."""
+    if u > v:
+        u, v = v, u
+    if u == v or u < 1 or v > est.n:
         return StreamError(f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{est.n}")
     return ParameterError(f"top level {top} outside 0..{est.levels}")
 

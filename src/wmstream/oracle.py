@@ -13,9 +13,9 @@ and both return the lexicographically smallest optimal witness:
   that frontier rather than the 2^m include/exclude choices.
 - ``exact_mcm`` runs an include/exclude branch-and-bound that reads no
   weight. A branch adds at most one edge per two free vertices that its
-  remaining edges touch, and is pruned when that many cannot beat the best;
-  the floor(|V|/2) ceiling ends the search at the first matching that
-  large, an early stop the dynamic program has no counterpart for.
+  remaining edges touch, and is pruned when that many cannot beat the best.
+  Once the best reaches floor(|V|/2), that prune cuts every branch left, so
+  the search needs no separate ceiling test to stop there.
 
 The weighted branch-and-bound that the dynamic program is checked against
 lives with the tests, in ``tests/helpers.py``.
@@ -112,8 +112,6 @@ def _mcm_search(edges):
     touch, so it is pruned when that many cannot beat the best."""
     check_oracle_cap(edges)
     masks, later = _edge_masks(edges)
-    # A matching has at most |V| // 2 edges; one that large cannot be improved.
-    ceiling = later[0].bit_count() // 2
     best: tuple[int, ...] = ()
 
     # Include-first DFS over sorted edges visits witnesses in lexicographic
@@ -124,8 +122,6 @@ def _mcm_search(edges):
         idx, used, chosen = stack.pop()
         if len(chosen) > len(best):
             best = chosen
-            if len(best) >= ceiling:
-                break
         # later[m] is empty, so a branch past the last edge is pruned here
         if len(chosen) + (later[idx] & ~used).bit_count() // 2 <= len(best):
             continue

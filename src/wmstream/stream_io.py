@@ -8,7 +8,6 @@ Format (UTF-8, LF):
 
 from __future__ import annotations
 
-import gc
 import io
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
@@ -80,7 +79,7 @@ def parse_stream(source: str | bytes | BinaryIO):
     multiset error on an earlier line is reported before a line error on a
     later one. Each block is decoded just before its lines are read, so a
     line or multiset error in an earlier block is reported before a
-    non-UTF-8 byte in a later one. The collector is paused while it builds the records."""
+    non-UTF-8 byte in a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     for lineno, raw in lines:  # blank and comment lines as in _checked_records
         parts = raw.split()
@@ -89,33 +88,9 @@ def parse_stream(source: str | bytes | BinaryIO):
             break
     else:
         raise ParseError("missing header line")
-    with CollectorPaused():
-        return header, _records(header, lines)
-
-
-def _records(header: StreamHeader, lines: Iterator[tuple[int, str]]) -> list[StreamUpdate]:
-    """The checked records of ``lines``, held by this frame alone until it returns."""
     updates: list[StreamUpdate] = []
     _live_edges(header, _checked_records(header, lines, updates.append))
-    return updates
-
-
-class CollectorPaused:
-    """Keeps the cyclic collector off in a ``with`` block, then leaves it as it
-    was found. Update records hold no reference cycles, so while they are
-    alive a collection would only walk them (``estimate`` holds them in one).
-    On an error the exit clears the finished frames of the traceback, so
-    records held in frames that the block calls die before it resumes."""
-
-    def __enter__(self):
-        self.collecting = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, kind, error, tb):  # allocates nothing once the collector is back on
-        while tb and (tb := tb.tb_next):  # each frame below the block's own, still running
-            tb.tb_frame.clear()
-        if self.collecting:
-            gc.enable()
+    return header, updates
 
 
 def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:

@@ -583,6 +583,81 @@ def test_estimate_keeps_the_collector_paused_until_it_frees_the_records(
         "wmstream: 25 edges exceed oracle cap 24", "wmstream: lemma 1 violated"]
 
 
+# --- main runs each command with the collector off -----------------------------
+
+def _path_stream(n, live, tail=""):
+    """The path 1..n inserted and then, in the other orientation, all but
+    its first ``live`` edges deleted, and ``tail``."""
+    edges = [(u, u + 1) for u in range(1, n)]
+    return (f"n {n} wmax 4 model dynamic\n" + "".join(f"+ {u} {v} 2\n" for u, v in edges)
+            + "".join(f"- {v} {u} 2\n" for u, v in edges[live:]) + tail)
+
+
+_REPS_SUITE = ("family=grid\nrows=2\ncols=2\nestimator=exact\nreps={reps}\n\n"
+               "family=grid\nrows=2\ncols=2\nwmax=nan\nestimator=exact\nreps={reps}\n")
+
+# every command and exit that main runs: its arguments, its stream at n vertices, its exit code
+COMMANDS = [
+    ("estimate --stream {stream} --epsilon 1 --verify --out {out}",
+     lambda n: _path_stream(n, 3), 0),
+    ("estimate --stream {stream} --epsilon 1 --out {out}",
+     lambda n: _path_stream(n, 3, "+ 1 2 x\n"), 2),
+    ("estimate --stream {stream} --epsilon 1 --estimator greedy --out {out}",
+     lambda n: _path_stream(n, 3), 3),
+    ("estimate --stream {stream} --epsilon 1 --verify --out {out}",
+     lambda n: _path_stream(n, 25), 4),
+    ("oracle --stream {stream} --mode mwm", lambda n: _path_stream(n, 20), 0),
+    ("gen --family forest-union --n {n} --nu 2 --churn 0.5 --out {out}", None, 0),
+    ("eval --suite {suite} --jobs 1 --out {out}", None, 2),
+    ("eval --suite {suite} --jobs 2 --out {out}", None, 2),
+]
+COMMAND_IDS = ["estimate-0", "estimate-2", "estimate-3", "estimate-4", "oracle", "gen",
+               "eval-jobs-1", "eval-jobs-2"]
+
+
+def _run_command(tmp_path, template, stream, code, n=30, reps=2):
+    """Run ``template`` through main on a stream of ``n`` vertices or a suite
+    of ``reps`` reps, and check its exit code."""
+    paths = {"stream": tmp_path / "in.stream", "suite": tmp_path / "suite.txt",
+             "out": tmp_path / "out"}
+    paths["stream"].write_text(stream(n) if stream else "")
+    paths["suite"].write_text(_REPS_SUITE.format(reps=reps))
+    assert main([arg.format(n=n, **paths) for arg in template.split()]) == code
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("template, stream, code", COMMANDS, ids=COMMAND_IDS)
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, template, stream, code,
+                                                  enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        _run_command(tmp_path, template, stream, code)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("template, stream, code", COMMANDS, ids=COMMAND_IDS)
+def test_nothing_a_command_builds_per_update_or_row_holds_a_reference_cycle(
+        tmp_path, capsys, template, stream, code):
+    # main keeps the collector off for the whole command, which pays only if
+    # the cyclic garbage it leaves does not grow with the input
+    def garbage(n, reps):
+        gc.collect()
+        _run_command(tmp_path, template, stream, code, n, reps)
+        return gc.collect()
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(30, 2)  # a first run may fill caches and import lazily
+        small, large = garbage(30, 2), garbage(150, 40)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert small == large
+
+
 # --- the report is encoded straight into its file ----------------------------
 
 @pytest.mark.parametrize("to_file", [True, False])

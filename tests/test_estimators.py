@@ -92,9 +92,10 @@ def test_exact_refuses_a_self_loop_or_a_vertex_outside_1_to_n():
     assert [e.value for e in est.finalize()] == [1.0, 1.0, 1.0]
 
 
-@pytest.mark.parametrize("u, v", [(2, 2), (0, 2), (2, 4)])
+@pytest.mark.parametrize("u, v", [(2, 2), (0, 2), (2, 4), (4, 2), (5, 1)])
 def test_a_bad_edge_is_refused_in_the_same_words_by_replay_and_each_estimator(u, v):
-    words = f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..3"
+    # the edge is named smaller id first, in whichever order the update gave it
+    words = f"edge ({min(u, v)}, {max(u, v)}) is a self-loop or has a vertex outside 1..3"
     with pytest.raises(StreamError) as info:
         replay(StreamHeader(3, 4.0, INSERT_ONLY), [StreamUpdate(INSERT, u, v, 2.0)])
     assert str(info.value) == words

@@ -498,32 +498,19 @@ def test_parsing_an_open_file_holds_little_beyond_its_records(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_the_collector_is_paused_while_parsing_and_then_restored(enabled):
-    # 4,950 records: unpaused, the collector would run once per 700 of them
+def test_parse_stream_leaves_the_collector_as_it_found_it(enabled):
     text = "n 100 wmax 4 model insert-only\n" + "".join(
         f"+ {u} {v} 2\n" for u in range(1, 101) for v in range(u + 1, 101))
-    collections = []
     was = gc.isenabled()
-
-    def parse(source):
-        callback = lambda phase, info: collections.append(phase)  # noqa: E731
-        gc.callbacks.append(callback)
-        try:
-            return parse_stream(source)
-        finally:
-            gc.callbacks.remove(callback)
-
     try:
         (gc.enable if enabled else gc.disable)()
-        assert len(parse(text)[1]) == 4950
+        assert len(parse_stream(text)[1]) == 4950
         assert gc.isenabled() is enabled
         with pytest.raises(ParseError):
-            parse(text + "+ 1 2 x\n")
+            parse_stream(text + "+ 1 2 x\n")
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    # at most one per call, started by the first allocation after the restore
-    assert collections.count("start") <= (2 if enabled else 0)
 
 
 # --- records share one int per vertex-id token --------------------------------
