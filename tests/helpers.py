@@ -154,7 +154,8 @@ def arboricity(snapshot: GraphSnapshot) -> int:
 def _mwm_search(edges):
     """(value, witness) of a maximum weight matching of the sorted edges,
     the lexicographically smallest optimum, by an include-first
-    branch-and-bound. On unit weights it is ``exact_mcm``'s search."""
+    branch-and-bound: the reference for ``exact_mwm`` and, on unit weights,
+    for ``exact_mcm``, whose greedy leaf is this search's first leaf."""
     check_oracle_cap(edges)
     if not edges:
         return 0.0, ()

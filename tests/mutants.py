@@ -19,7 +19,8 @@ from the repository root and commit the kill matrix it prints:
 
 Names given as arguments, ``python tests/mutants.py NAME_PREFIX ...``,
 run only the mutants whose names start with one of them (``mcm.`` rechecks
-the cardinality search in about 30 s); the committed matrix is the full run's.
+``exact_mcm``'s leaf and its fallback in about 20 s); the committed matrix is
+the full run's.
 Progress goes to stderr. The exit code is 1 if the unmutated copy fails, a
 mutant's text is not found exactly once, or a mutant survives that is not
 marked equivalent; an equivalent mutant carries the reason why no test can
@@ -284,20 +285,16 @@ MUTANTS = (
            "            if not",
            "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
            "            if not", ("test_oracle.py",)),
-    Mutant("mcm.bound-keeps-ties", "oracle.py",
-           ".bit_count() // 2 <= len(best)", ".bit_count() // 2 < len(best)",
+    # exact_mcm's greedy leaf and its fallback to the dynamic program
+    Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
+           "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",
            ("test_oracle.py",)),
-    Mutant("mcm.bound-one-short", "oracle.py",
-           ".bit_count() // 2 <= len(best)", ".bit_count() // 2 - 1 <= len(best)",
-           ("test_oracle.py",)),
-    Mutant("mcm.bound-read-one-edge-late", "oracle.py",
-           "(later[idx] & ~used)", "(later[idx + 1] & ~used)", ("test_oracle.py",)),
-    Mutant("mcm.keeps-ties", "oracle.py",
-           "if len(chosen) > len(best):", "if len(chosen) >= len(best):", ("test_oracle.py",)),
-    Mutant("mcm.no-vertex-check", "oracle.py",
-           "        if not masks[idx] & used:\n            stack.append((idx + 1, used | masks[idx], "
-           "chosen + (idx,)))",
-           "        stack.append((idx + 1, used | masks[idx], chosen + (idx,)))",
+    Mutant("mcm.leaf-tests-one-end", "oracle.py",
+           "if u not in used and v not in used:", "if v not in used:", ("test_oracle.py",)),
+    Mutant("mcm.cap-only-in-the-dp", "oracle.py",
+           "    check_oracle_cap(snapshot.edges)\n    unit", "    unit", ("test_oracle.py",)),
+    Mutant("mcm.fallback-value-a-float", "oracle.py",
+           "OracleResult(int(value), witness)", "OracleResult(value, witness)",
            ("test_oracle.py",)),
     # the one verdict and its two readers
     Mutant("verdict.sandwich-dropped", "reduction.py",

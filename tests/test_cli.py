@@ -1,6 +1,8 @@
 import concurrent.futures
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import wmstream
 from wmstream import CapacityError, GenConfig, ParseError, generate, make_estimator, serialize
@@ -465,6 +468,69 @@ def test_eval_suite_refusals(tmp_path, capsys, text, message):
     assert main(["eval", "--suite", str(suite), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"wmstream: {message}\n"
     assert not out.exists()
+
+
+GOLDEN_STREAMS = [p.read_bytes()
+                  for p in sorted((Path(__file__).parent / "golden").glob("*.stream"))]
+FUZZ_COMMANDS = [
+    *(["estimate", "--epsilon", "0.5", "--estimator", kind, *verify]
+      for kind in ("greedy", "exact") for verify in ([], ["--verify"])),
+    *(["oracle", "--mode", mode] for mode in ("mwm", "mcm")),
+]
+# digits, the other bytes that the stream format gives a meaning, or any byte
+FUZZ_BYTES = st.one_of(st.sampled_from(b"0123456789"), st.sampled_from(b" +-.\n#e\t"),
+                       st.integers(0, 255)).map(lambda b: bytes([b]))
+
+
+@st.composite
+def mutated_streams(draw):
+    """A golden stream after up to three byte edits, each in a line drawn
+    first: a replaced, inserted or deleted byte."""
+    lines = draw(st.sampled_from(GOLDEN_STREAMS)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        cut = draw(st.integers(0, 1)) if at < len(lines[i]) else 0
+        lines[i] = lines[i][:at] + draw(FUZZ_BYTES | st.just(b"")) + lines[i][at + cut:]
+    return b"".join(lines)
+
+
+def _header_n(data):
+    """The header's n as the parser would read it, or None where it would not."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    for raw in text.splitlines():
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            try:
+                return int(parts[1])
+            except (IndexError, ValueError):
+                return None
+    return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_streams(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_a_mutated_golden_stream_exits_with_a_documented_code_and_one_line(
+        tmp_path, data, command):
+    # greedy allocates one int per vertex up front, so an edit that grows the
+    # header's n into the billions would only exhaust memory, a known limit
+    n = _header_n(data)
+    assume(n is None or n <= 10**6)
+    path = tmp_path / "fuzz.stream"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--stream", str(path)])
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("wmstream: ") and lines[0].endswith("\n")
 
 
 # --- the verdict path: a failed check exits 5 and still writes its output ----

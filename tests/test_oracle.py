@@ -10,6 +10,7 @@ from wmstream import (
     GraphSnapshot,
     exact_mcm,
     exact_mwm,
+    oracle,
 )
 from wmstream.oracle import MAX_ORACLE_EDGES
 
@@ -139,9 +140,15 @@ def test_mcm_monotone_under_edge_removal():
 
 
 def test_capacity_cap_enforced():
-    edges = [(1, i, 1) for i in range(2, 27)]  # 25 edges
+    star = [(1, i, 1) for i in range(2, 27)]  # 25 edges
     with pytest.raises(CapacityError):
-        exact_mwm(snap(26, edges))
+        exact_mwm(snap(26, star))
+    # the disjoint edges' greedy leaf reaches floor(|V|/2), so only a cap
+    # check ahead of the leaf refuses them
+    disjoint = [(2 * i - 1, 2 * i, 1) for i in range(1, 26)]
+    for edges in (star, disjoint):
+        with pytest.raises(CapacityError, match="^25 edges exceed oracle cap 24$"):
+            exact_mcm(snap(50, edges))
 
 
 def test_arboricity_examples():
@@ -198,11 +205,37 @@ def test_mwm_frontier_matches_the_branch_and_bound(edges):
     graph = GraphSnapshot(10, tuple(edges))
     result = exact_mwm(graph)
     assert (result.value, result.witness) == _mwm_search(edges)
-    # exact_mcm's cardinality search against the weighted one on unit weights
+    # exact_mcm, from its leaf or the dynamic program, against the weighted
+    # branch-and-bound on unit weights
     value, witness = _mwm_search([(u, v, 1.0) for u, v, _ in edges])
     mcm = exact_mcm(graph)
     assert (mcm.value, mcm.witness) == (value, witness)
     assert type(mcm.value) is int
+
+
+@pytest.mark.parametrize("edges,from_dp", [
+    ([(2 * i - 1, 2 * i) for i in range(1, 25)], None),
+    ([(1, 2), (2, 3), (3, 4)], None),
+    # the leaf is (1, 2) alone, or (1, 3) alone; the ceiling is 2 in both
+    ([(1, 2), (1, 3), (2, 4)], ((1, 3, 1.0), (2, 4, 1.0))),
+    ([(1, 3), (1, 4), (2, 3)], ((1, 4, 1.0), (2, 3, 1.0))),
+], ids=["24-disjoint-edges", "path-1-2-3-4", "leaf-1-2", "leaf-1-3"])
+def test_mcm_answers_from_the_greedy_leaf_or_the_dynamic_program(monkeypatch, edges, from_dp):
+    asked = []
+    search = oracle._mwm_frontier
+
+    def counted(unit):
+        asked.append(len(unit))
+        return search(unit)
+
+    monkeypatch.setattr(oracle, "_mwm_frontier", counted)
+    graph = snap(48, [(u, v, 1) for u, v in edges])
+    mcm = exact_mcm(graph)
+    assert asked == ([] if from_dp is None else [len(edges)])
+    assert (mcm.value, mcm.witness) == _mwm_search(list(graph.edges))
+    assert type(mcm.value) is int
+    if from_dp is not None:
+        assert mcm.witness == from_dp
 
 
 def _two_layer():
@@ -228,6 +261,39 @@ def test_mwm_on_wide_frontiers_at_the_cap_agrees_with_networkx(shape, seed):
     result = exact_mwm(graph)
     assert result.value == pytest.approx(nx_value, rel=1e-12)
     assert (result.value, result.witness) == _mwm_search(list(graph.edges))
+
+
+def _cycle_with_pendant(first):
+    # a 5-cycle on first..first+4 and a pendant edge to first+5
+    ring = [(first + i, first + i + 1) for i in range(4)] + [(first, first + 4)]
+    return ring + [(first, first + 5)]
+
+
+# The structured worst cases at the cap: every graph has at most 24 edges.
+STRUCTURED = {
+    "8-disjoint-triangles": [(3 * t + a, 3 * t + b) for t in range(8)
+                             for a, b in ((1, 2), (2, 3), (1, 3))],
+    "four-5-cycles-with-pendants": [e for k in range(4) for e in _cycle_with_pendant(6 * k + 1)],
+    "star-K1,24": [(1, i) for i in range(2, 26)],
+    "24-disjoint-edges": [(2 * i - 1, 2 * i) for i in range(1, 25)],
+    "K7": [(u, v) for u in range(1, 8) for v in range(u + 1, 8)],
+    "24-edge-ladder": _ladder(),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_worst_cases_at_the_cap_agree_with_networkx(name):
+    pairs = STRUCTURED[name]
+    assert len(pairs) <= MAX_ORACLE_EDGES
+    rng = random.Random(name)
+    weighted = [(u, v, rng.randint(1, 16)) for u, v in pairs]
+    g = nx.Graph()
+    g.add_weighted_edges_from(weighted)
+    nx_value = sum(g[u][v]["weight"] for u, v in nx.max_weight_matching(g))
+    nx_size = len(nx.max_weight_matching(g, maxcardinality=True))
+    graph = snap(200, weighted)
+    assert exact_mwm(graph).value == nx_value
+    assert exact_mcm(graph).value == nx_size
 
 
 def _random_matching(rng):
