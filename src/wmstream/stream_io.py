@@ -74,12 +74,12 @@ def parse_stream(source: str | bytes | BinaryIO):
     """Parse a stream into (header, updates) in one pass. ``source`` is the
     text, its UTF-8 bytes, or an open binary file, which is read in blocks of
     ``_BLOCK`` bytes so that only one block's lines are held beside the
-    records. Each update line is checked against the header as it is read,
-    and then at once against the multiset rules of ``_live_edges``, so a
-    multiset error on an earlier line is reported before a line error on a
-    later one. Each block is decoded just before its lines are read, so a
-    line or multiset error in an earlier block is reported before a
-    non-UTF-8 byte in a later one."""
+    records. ``_checked_records`` checks each update line against the header
+    and then at once against the multiset rules, in one loop, so a multiset
+    error on an earlier line is reported before a line error on a later one.
+    Each block is decoded just before its lines are read, so a line or
+    multiset error in an earlier block is reported before a non-UTF-8 byte in
+    a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     for lineno, raw in lines:  # blank and comment lines as in _checked_records
         parts = raw.split()
@@ -88,9 +88,7 @@ def parse_stream(source: str | bytes | BinaryIO):
             break
     else:
         raise ParseError("missing header line")
-    updates: list[StreamUpdate] = []
-    _live_edges(header, _checked_records(header, lines, updates.append))
-    return header, updates
+    return header, _checked_records(header, lines)
 
 
 def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
@@ -111,24 +109,36 @@ def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
 
 
 def _checked_records(
-    header: StreamHeader, lines: Iterator[tuple[int, str]], keep
-) -> Iterator[StreamUpdate]:
-    """Each update line of ``lines`` as a record, checked against the header;
-    ``keep`` receives every record before it is yielded. A line is split
-    once (``str.split`` and ``str.strip`` know the same whitespace) and
-    stripped only to quote it in an error; only a line that is not four
-    fields led by an op is tested for blank or comment. ``1.0 <= w <= wmax``
-    needs no ``isfinite``: the header makes wmax finite, and nan fails every
+    header: StreamHeader, lines: Iterator[tuple[int, str]]
+) -> list[StreamUpdate]:
+    """The records of the update lines of ``lines``, built in one loop: each
+    line meets the header's rules, then the multiset rules, and then its
+    record is appended. A line is split once
+    (``str.split`` and ``str.strip`` know the same whitespace) and stripped
+    only to quote it in an error; only a line that is not four fields led by
+    an op is tested for blank or comment. ``1.0 <= w <= wmax`` needs no
+    ``isfinite``: the header makes wmax finite, and nan fails every
     comparison. ``tuple.__new__`` builds a record as the NamedTuple's
     ``__new__`` does, without its Python frame. Records share one int per
     vertex-id token: ``ids`` keeps a token's first int once it passed the
     1..n check, and a line of two known tokens skips their ``int`` calls and
     range check. ``ids`` is O(distinct tokens) and dies with the parse, so
-    where ids each occur once it only adds to the parse's peak."""
+    where ids each occur once it only adds to the parse's peak.
+
+    The multiset rules are ``_live_edges``' in its words, on pairs that the
+    line rules have already bounded to 1..n and u != v, keyed by the same
+    packed ``u*(n+1)+v``; their errors carry no line number. A delete's
+    record takes its insert's float object, equal to the one it parsed, so
+    a delete holds no float of its own."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
+    size = n + 1
     new = tuple.__new__
     ids: dict[str, int] = {}
     known = ids.get
+    present: dict[int, float] = {}
+    popped = present.pop
+    records: list[StreamUpdate] = []
+    keep = records.append
     for lineno, raw in lines:
         parts = raw.split()
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
@@ -154,9 +164,23 @@ def _checked_records(
             raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
         if not 1.0 <= w <= wmax:
             raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
-        record = new(StreamUpdate, (op, u, v, w))
-        keep(record)
-        yield record
+        key = u * size + v if u < v else v * size + u
+        if op == INSERT:
+            if key in present:
+                raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
+            present[key] = w
+        else:
+            inserted = popped(key, None)
+            if inserted is None:
+                raise StreamError(f"delete of absent edge {divmod(key, size)}")
+            if inserted != w:
+                raise StreamError(
+                    f"delete weight {w} != inserted weight {inserted} "
+                    f"for edge {divmod(key, size)}"
+                )
+            w = inserted
+        keep(new(StreamUpdate, (op, u, v, w)))
+    return records
 
 
 def _parse_header(parts: list[str], raw: str, lineno: int) -> StreamHeader:
@@ -194,10 +218,12 @@ def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapsh
 
 def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
     """Live edges after the updates, keyed by ``u*(n+1)+v`` with u < v and
-    mapped to the weight; strict multiset rules, the only home of those
-    rules. ``updates`` is consumed once, in order, so ``parse_stream`` feeds
-    it the records as their lines are read. Each update's pair is checked
-    before it is packed, so that no bad id can alias another pair."""
+    mapped to the weight; strict multiset rules for updates built in code,
+    which ``replay`` gets. Parsed lines meet the same rules, in the same
+    words, inline in ``_checked_records``, and a parity test holds the two
+    to one text. ``updates`` is consumed once, in order. Each update's pair
+    is checked before it is packed, so that no bad id can alias another
+    pair."""
     n = header.n
     size = n + 1
     present: dict[int, float] = {}

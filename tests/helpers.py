@@ -19,7 +19,9 @@ from wmstream import (
 )
 from wmstream.estimators import EXACT_OFFLINE
 from wmstream.oracle import MAX_ORACLE_EDGES, check_oracle_cap
-from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
+from wmstream.stream_io import (
+    DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate, _live_edges,
+)
 
 MAX_ARBORICITY_VERTICES = 12
 
@@ -265,10 +267,21 @@ def dynamify_reference(header, updates, churn, seed):
 # --- the per-line checker before records shared their vertex ids --------------
 
 
-def checked_records_reference(header, lines, keep):
-    """``stream_io._checked_records`` before its id table: every line converts
-    both ids with ``int`` and range-checks them, so each record holds ints of
-    its own. The reference that the shared-id parse is checked against."""
+def checked_records_reference(header, lines):
+    """``stream_io._checked_records`` before its id table and before it took
+    in the multiset rules: every line converts both ids with ``int`` and
+    range-checks them, so each record holds ints of its own, and the records
+    then pass through ``stream_io._live_edges`` one by one as their lines are
+    read, so each delete holds a float of its own. The reference that the
+    shared-id, one-loop parse is checked against."""
+    records = []
+    _live_edges(header, _line_records(header, lines, records.append))
+    return records
+
+
+def _line_records(header, lines, keep):
+    """Each update line of ``lines`` as a record checked against the header;
+    ``keep`` receives every record before it is yielded."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     ops = {"+": INSERT, "-": DELETE}
     for lineno, raw in lines:

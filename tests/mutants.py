@@ -107,12 +107,40 @@ MUTANTS = (
            "if not 1.0 <= w <= wmax:", "if not 1.0 <= w:", ("test_stream_io.py",)),
     Mutant("parser.weight-as-two-comparisons", "stream_io.py",
            "if not 1.0 <= w <= wmax:", "if w < 1.0 or w > wmax:", ("test_stream_io.py",)),
-    # the multiset rules
-    Mutant("multiset.weight-mismatch-unchecked", "stream_io.py",
-           "            if inserted != w:", "            if False:", ("test_stream_io.py",)),
-    Mutant("multiset.duplicate-insert-accepted", "stream_io.py",
-           "if key in present:", "if False:", ("test_stream_io.py",)),
-    Mutant("multiset.delete-gets-and-keeps", "stream_io.py",
+    # the multiset rules in their two homes: inline in the parse's loop, and
+    # in _live_edges for replay
+    Mutant("multiset.parse.weight-mismatch-unchecked", "stream_io.py",
+           "            if inserted != w:\n                raise StreamError(\n"
+           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
+           "                    f\"for edge {divmod",
+           "            if False:\n                raise StreamError(\n"
+           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
+           "                    f\"for edge {divmod", ("test_stream_io.py",)),
+    Mutant("multiset.parse.duplicate-insert-accepted", "stream_io.py",
+           "if key in present:\n                raise StreamError(f\"duplicate insert of edge {divmod",
+           "if False:\n                raise StreamError(f\"duplicate insert of edge {divmod",
+           ("test_stream_io.py",)),
+    Mutant("multiset.parse.absent-delete-accepted", "stream_io.py",
+           "popped(key, None)", "popped(key, w)", ("test_stream_io.py",)),
+    Mutant("multiset.parse.delete-gets-and-keeps", "stream_io.py",
+           "popped = present.pop", "popped = present.get", ("test_stream_io.py",)),
+    Mutant("multiset.parse.key-packed-unordered", "stream_io.py",
+           "key = u * size + v if u < v else v * size + u", "key = u * size + v",
+           ("test_stream_io.py",)),
+    Mutant("multiset.parse.delete-keeps-its-own-float", "stream_io.py",
+           "            w = inserted\n", "", ("test_stream_io.py",)),
+    Mutant("multiset.replay.weight-mismatch-unchecked", "stream_io.py",
+           "            if inserted != w:\n                raise StreamError(\n"
+           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
+           "                    f\"for edge {(u, v)}",
+           "            if False:\n                raise StreamError(\n"
+           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
+           "                    f\"for edge {(u, v)}", ("test_stream_io.py",)),
+    Mutant("multiset.replay.duplicate-insert-accepted", "stream_io.py",
+           "if key in present:\n                raise StreamError(f\"duplicate insert of edge {(u, v)}",
+           "if False:\n                raise StreamError(f\"duplicate insert of edge {(u, v)}",
+           ("test_stream_io.py",)),
+    Mutant("multiset.replay.delete-gets-and-keeps", "stream_io.py",
            "present.pop(key, None)", "present.get(key)", ("test_stream_io.py",)),
     # main's one collector pause, around the command
     Mutant("main.collector-left-on", "cli.py",
@@ -285,6 +313,11 @@ MUTANTS = (
            "            if not",
            "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
            "            if not", ("test_oracle.py",)),
+    Mutant("mwm.frontier-keeps-keys-that-a-skip-drops", "oracle.py",
+           "if keep == later[idx]:", "if keep <= later[idx]:", ("test_oracle.py",)),
+    Mutant("mwm.frontier-takes-ties-by-value-alone", "oracle.py",
+           "if state > states.get(key, unset):", "if state[0] > states.get(key, unset)[0]:",
+           ("test_oracle.py",)),
     # exact_mcm's greedy leaf and its fallback to the dynamic program
     Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
            "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",

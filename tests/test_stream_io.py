@@ -1,5 +1,7 @@
+import cProfile
 import gc
 import io
+import pstats
 import random
 import tracemalloc
 from itertools import accumulate, islice
@@ -21,6 +23,7 @@ from wmstream import (
 )
 from wmstream import stream_io
 from wmstream.cli import main
+from wmstream.generators import dynamify
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
 
 from helpers import checked_records_reference, snapshot_stream
@@ -169,6 +172,77 @@ def test_strict_rejects_delete_weight_mismatch():
         StreamHeader(2, 4.0, DYNAMIC),
         [StreamUpdate(INSERT, 1, 2, 3.0), StreamUpdate(DELETE, 1, 2, 4.0)],
         "delete weight 4.0 != inserted weight 3.0 for edge (1, 2)")
+
+
+@st.composite
+def _streams_with_a_multiset_fault(draw):
+    """(header, updates, message): an insert-only or churned stream with one
+    duplicate insert, delete of an absent edge or delete at another weight
+    injected at a drawn place, and the error that the fault raises. The
+    prefix before it is valid, so the fault is the first error."""
+    header, updates = draw(streams())
+    churn = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    header, updates = dynamify(header, updates, churn, draw(st.integers(0, 99)))
+    at = draw(st.integers(0, len(updates)))
+    live = {(u, v): w for u, v, w in replay(header, updates[:at]).edges}
+    u, v = draw(st.tuples(st.integers(1, header.n), st.integers(1, header.n))
+                .filter(lambda p: p[0] != p[1]))
+    pair = (min(u, v), max(u, v))
+    fault = draw(st.sampled_from(["duplicate", "absent", "weight"]))
+    w = live.get(pair, float(draw(st.integers(1, int(header.wmax)))))
+    injected = [] if pair in live else [StreamUpdate(INSERT, v, u, w)]
+    if fault == "duplicate":
+        injected.append(StreamUpdate(INSERT, u, v, float(draw(st.integers(1, int(header.wmax))))))
+        message = f"duplicate insert of edge {pair}"
+    elif fault == "absent":
+        injected += [StreamUpdate(DELETE, v, u, w), StreamUpdate(DELETE, u, v, w)]
+        message = f"delete of absent edge {pair}"
+    else:
+        header = header._replace(wmax=max(header.wmax, 2.0))
+        other = w % header.wmax + 1.0
+        injected.append(StreamUpdate(DELETE, u, v, other))
+        message = f"delete weight {other} != inserted weight {w} for edge {pair}"
+    if fault != "duplicate":
+        header = header._replace(model=DYNAMIC)
+    return header, updates[:at] + injected + updates[at:], message
+
+
+@given(_streams_with_a_multiset_fault())
+def test_parse_and_replay_raise_one_multiset_error_text(case):
+    header, updates, message = case
+    _assert_multiset_error(header, updates, message)
+
+
+def test_a_delete_record_holds_its_inserts_weight_object():
+    _, updates = parse_stream(
+        "n 3 wmax 4 model dynamic\n+ 1 2 3\n+ 2 3 2.5\n- 2 1 3.0\n+ 1 2 3\n- 3 2 2.50\n")
+    first, other, delete, again, last = updates
+    assert delete.w is first.w and last.w is other.w
+    assert again.w is not first.w  # a re-insert parses a float of its own
+
+
+def _profiled_calls(text):
+    """How many calls of Python functions, generator resumes included, the
+    parse of ``text`` makes; cProfile files a builtin under ``~``. The
+    collector is off, as ``cli.main`` keeps it, so that no collection calls
+    a callback that another library (hypothesis) registered."""
+    profile = cProfile.Profile()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        profile.runcall(parse_stream, text)
+    finally:
+        (gc.enable if was else gc.disable)()
+    return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path != "~")
+
+
+def test_the_parse_makes_no_python_call_per_update_line():
+    def churned(m):  # each edge inserted and then deleted, m lines
+        return "n 20000 wmax 8 model dynamic\n" + "".join(
+            f"+ {u} {u + 1} 2\n- {u + 1} {u} 2\n" for u in range(1, m // 2 + 1))
+    small, large = _profiled_calls(churned(2_000)), _profiled_calls(churned(20_000))
+    assert small == large
 
 
 def test_replay_reinsert_after_delete():
@@ -517,7 +591,7 @@ def test_parse_stream_leaves_the_collector_as_it_found_it(enabled):
 
 def _parsed(text, checker=stream_io._checked_records):
     """``parse_stream``'s records of ``text``, or its error's class, line and
-    message, with ``checker`` as its line checker."""
+    message, with ``checker`` as its loop over the update lines."""
     with mock.patch.object(stream_io, "_checked_records", checker):
         try:
             return parse_stream(text)[1]
