@@ -95,16 +95,6 @@ def _mwm_frontier(edges):
     unset = (-1.0, 0)  # below every state
     for idx, (_, _, w) in enumerate(edges):
         mask, keep, pick = masks[idx], later[idx + 1], 1 << (m - 1 - idx)
-        if keep == later[idx]:
-            # Later edges touch both ends, so a skip changes no key and the
-            # states stand. Only takes are tried; each source lacks the
-            # mask, so distinct sources give distinct take keys.
-            takes = {used | mask: (value + w, chosen | pick)
-                     for used, (value, chosen) in states.items() if not used & mask}
-            for key, state in takes.items():
-                if state > states.get(key, unset):
-                    states[key] = state
-            continue
         nxt: dict[int, tuple[float, int]] = {}
         for used, state in states.items():
             key = used & keep

@@ -313,11 +313,6 @@ MUTANTS = (
            "            if not",
            "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
            "            if not", ("test_oracle.py",)),
-    Mutant("mwm.frontier-keeps-keys-that-a-skip-drops", "oracle.py",
-           "if keep == later[idx]:", "if keep <= later[idx]:", ("test_oracle.py",)),
-    Mutant("mwm.frontier-takes-ties-by-value-alone", "oracle.py",
-           "if state > states.get(key, unset):", "if state[0] > states.get(key, unset)[0]:",
-           ("test_oracle.py",)),
     # exact_mcm's greedy leaf and its fallback to the dynamic program
     Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
            "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",
