@@ -79,7 +79,8 @@ def _mwm_frontier(edges):
     """(value, witness) of a maximum weight matching of the sorted edges,
     whose weights are positive. Partial matchings that agree on the used
     vertices a later edge touches have the same completions, so only the
-    best of them is kept."""
+    best of them is kept. Where no vertex leaves the frontier, a skip keeps
+    its state's key, so that layer starts as a copy and tries only takes."""
     check_oracle_cap(edges)
     m = len(edges)
     bit = {x: i for i, x in enumerate(sorted({x for u, v, _ in edges for x in (u, v)}))}
@@ -92,19 +93,28 @@ def _mwm_frontier(edges):
     # other (weights are positive), so the lexicographically smaller one has
     # the larger chosen, and the better state is simply the larger tuple.
     states = {0: (0.0, 0)}
-    unset = (-1.0, 0)  # below every state
     for idx, (_, _, w) in enumerate(edges):
         mask, keep, pick = masks[idx], later[idx + 1], 1 << (m - 1 - idx)
-        nxt: dict[int, tuple[float, int]] = {}
-        for used, state in states.items():
-            key = used & keep
-            if state > nxt.get(key, unset):
-                nxt[key] = state
-            if not used & mask:
-                key = (used | mask) & keep
-                state = (state[0] + w, state[1] | pick)
-                if state > nxt.get(key, unset):
+        if keep == later[idx]:  # no vertex leaves, so every skip keeps its key and state
+            nxt = states.copy()
+            for used, state in states.items():
+                if not used & mask:
+                    key, state = used | mask, (state[0] + w, state[1] | pick)
+                    old = nxt.get(key)
+                    if old is None or state > old:
+                        nxt[key] = state
+        else:
+            nxt = {}
+            for used, state in states.items():
+                key = used & keep
+                old = nxt.get(key)
+                if old is None or state > old:
                     nxt[key] = state
+                if not used & mask:
+                    key, state = (used | mask) & keep, (state[0] + w, state[1] | pick)
+                    old = nxt.get(key)
+                    if old is None or state > old:
+                        nxt[key] = state
         states = nxt
     value, chosen = states[0]  # later[m] is empty, so one state is left
     return value, tuple(e for i, e in enumerate(edges) if chosen >> (m - 1 - i) & 1)

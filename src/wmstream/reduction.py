@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParameterError
@@ -92,17 +93,19 @@ def run(
     """One-pass end-to-end run: schedule, estimate every level, combine.
 
     Each update goes to the estimator once, with the top level that
-    ``top_level`` gives its weight; a weight outside [1, wmax], nan
-    included, is refused there with its WeightRangeError."""
+    ``top_level``'s bisection, made inline, gives its weight; a weight
+    outside [1, wmax], nan included, is left to ``top_level`` to refuse."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     schedule = build_schedule(epsilon, header.wmax)
     t = schedule.levels
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
-    update = est.update
+    update, thresholds, wmax = est.update, schedule.thresholds, schedule.wmax
     for op, u, v, w in updates:
-        update(op, u, v, top_level(schedule, w))
+        if not 1.0 <= w <= wmax:
+            top_level(schedule, w)  # raises its WeightRangeError
+        update(op, u, v, bisect_right(thresholds, w) - 1)
     # McmEstimate(value, words_stored) per level, unzipped so they go before combine
     s_hats, level_words = zip(*est.finalize())
     levels = combine(schedule, s_hats)

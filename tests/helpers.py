@@ -1,6 +1,9 @@
 """Shared corpus builders and reference implementations for the randomized
 suites."""
 
+import cProfile
+import gc
+import pstats
 import random
 from math import ceil
 
@@ -262,6 +265,22 @@ def dynamify_reference(header, updates, churn, seed):
         j2 = rng.randint(j1 + 1, len(out))
         out.insert(j2, StreamUpdate(INSERT, upd.u, upd.v, upd.w))
     return StreamHeader(header.n, header.wmax, DYNAMIC), out
+
+
+def python_calls(fn, *args):
+    """How many calls of Python functions, generator resumes included,
+    ``fn(*args)`` makes; cProfile files a builtin under ``~``. The collector
+    is off, as ``cli.main`` keeps it, so that no collection calls a callback
+    that another library (hypothesis) registered."""
+    profile = cProfile.Profile()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        profile.runcall(fn, *args)
+    finally:
+        (gc.enable if was else gc.disable)()
+    return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path != "~")
 
 
 # --- the per-line checker before records shared their vertex ids --------------

@@ -203,6 +203,11 @@ MUTANTS = (
     Mutant("top_level.bisect_left", "schedule.py",
            "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
            ("test_schedule.py",)),
+    Mutant("run.bisect_left", "reduction.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
+           ("test_reduction.py",)),
+    Mutant("run.unchecked-weight", "reduction.py",
+           "if not 1.0 <= w <= wmax:", "if False:", ("test_reduction.py",)),
     # combine and the checks
     Mutant("combine.no-2-times-b", "reduction.py",
            "math.ceil(m_hat - 2 * b_next)", "math.ceil(m_hat - b_next)", ("test_reduction.py",)),
@@ -309,10 +314,12 @@ MUTANTS = (
            ("test_generators.py",)),
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
-           "            if state > nxt.get(key, unset):\n                nxt[key] = state\n"
-           "            if not",
-           "            if state[0] > nxt.get(key, unset)[0]:\n                nxt[key] = state\n"
-           "            if not", ("test_oracle.py",)),
+           "                if old is None or state > old:\n                    nxt[key] = state\n"
+           "                if not",
+           "                if old is None or state[0] > old[0]:\n"
+           "                    nxt[key] = state\n                if not", ("test_oracle.py",)),
+    Mutant("mwm.copy-layer-at-a-departure", "oracle.py",
+           "if keep == later[idx]:", "if True:", ("test_oracle.py",)),
     # exact_mcm's greedy leaf and its fallback to the dynamic program
     Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
            "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",

@@ -33,7 +33,7 @@ from wmstream import reduction
 from wmstream.reduction import LevelState, report_json
 from wmstream.stream_io import DYNAMIC, INSERT_ONLY, StreamHeader, StreamUpdate
 
-from helpers import combined_report, report_dict_reference
+from helpers import combined_report, python_calls, report_dict_reference
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
 
@@ -150,7 +150,8 @@ def test_run_splits_delta_across_levels():
 
 
 @pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
-@pytest.mark.parametrize("w", [math.nan, math.inf, 0.5, math.nextafter(4.0, math.inf)])
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.5,
+                               math.nextafter(1.0, -math.inf), math.nextafter(4.0, math.inf)])
 def test_run_refuses_a_code_built_weight_outside_1_wmax_as_top_level_does(kind, w):
     # records built in code skip the parser's weight check; run must still
     # refuse them, with top_level's class and message
@@ -161,6 +162,20 @@ def test_run_refuses_a_code_built_weight_outside_1_wmax_as_top_level_does(kind, 
     with pytest.raises(WeightRangeError) as got:
         run(header, updates, 1.0, 0.1, kind)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kind, model", [(GREEDY, INSERT_ONLY), (EXACT_OFFLINE, DYNAMIC)])
+def test_run_makes_one_python_call_per_update(kind, model):
+    # the estimator's update is the one call: an update is routed inline
+    def updates(m):  # a star, so greedy matches the same two vertices at any m
+        if model == INSERT_ONLY:
+            return [StreamUpdate("insert", 1, u, 2.0) for u in range(2, m + 2)]
+        return [StreamUpdate(op, 1, u, 2.0) for u in range(2, m // 2 + 2)
+                for op in ("insert", "delete")]
+    header = StreamHeader(20_001, 8.0, model)
+    small, large = (python_calls(run, header, updates(m), 0.5, 0.1, kind)
+                    for m in (2_000, 20_000))
+    assert large - small == 18_000
 
 
 def _top_level_routed_report(header, updates, epsilon, delta, kind):

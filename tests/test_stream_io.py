@@ -1,7 +1,5 @@
-import cProfile
 import gc
 import io
-import pstats
 import random
 import tracemalloc
 from itertools import accumulate, islice
@@ -26,7 +24,7 @@ from wmstream.cli import main
 from wmstream.generators import dynamify
 from wmstream.stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY
 
-from helpers import checked_records_reference, snapshot_stream
+from helpers import checked_records_reference, python_calls, snapshot_stream
 
 
 def test_parse_basic_insert_only():
@@ -221,27 +219,11 @@ def test_a_delete_record_holds_its_inserts_weight_object():
     assert again.w is not first.w  # a re-insert parses a float of its own
 
 
-def _profiled_calls(text):
-    """How many calls of Python functions, generator resumes included, the
-    parse of ``text`` makes; cProfile files a builtin under ``~``. The
-    collector is off, as ``cli.main`` keeps it, so that no collection calls
-    a callback that another library (hypothesis) registered."""
-    profile = cProfile.Profile()
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        profile.runcall(parse_stream, text)
-    finally:
-        (gc.enable if was else gc.disable)()
-    return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
-               if path != "~")
-
-
 def test_the_parse_makes_no_python_call_per_update_line():
     def churned(m):  # each edge inserted and then deleted, m lines
         return "n 20000 wmax 8 model dynamic\n" + "".join(
             f"+ {u} {u + 1} 2\n- {u + 1} {u} 2\n" for u in range(1, m // 2 + 1))
-    small, large = _profiled_calls(churned(2_000)), _profiled_calls(churned(20_000))
+    small, large = (python_calls(parse_stream, churned(m)) for m in (2_000, 20_000))
     assert small == large
 
 
