@@ -9,7 +9,8 @@ Format (UTF-8, LF):
 from __future__ import annotations
 
 import io
-from itertools import chain
+from itertools import chain, islice
+from operator import eq
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, StreamError
@@ -75,9 +76,11 @@ def parse_stream(source: str | bytes | BinaryIO):
     text, its UTF-8 bytes, or an open binary file, which is read in blocks of
     ``_BLOCK`` bytes so that only one block's lines are held beside the
     records. ``_checked_records`` checks each update line against the header
-    and then at once against the multiset rules, in one loop, so a multiset
-    error on an earlier line is reported before a line error on a later one.
-    Each block is decoded just before its lines are read, so a line or
+    and then against the multiset rules, so a multiset error on an earlier
+    line is reported before a line error on a later one. On an insert-only
+    stream its repeat check runs after the pass, so a ParseError from the
+    pass first has ``_live_edges`` look for a repeat in the records built so
+    far. Each block is decoded just before its lines are read, so a line or
     multiset error in an earlier block is reported before a non-UTF-8 byte in
     a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
@@ -88,7 +91,13 @@ def parse_stream(source: str | bytes | BinaryIO):
             break
     else:
         raise ParseError("missing header line")
-    return header, _checked_records(header, lines)
+    records: list[StreamUpdate] = []
+    try:
+        return header, _checked_records(header, lines, records)
+    except ParseError:
+        if header.model == INSERT_ONLY:  # a repeat on an earlier line wins
+            _live_edges(header, records)
+        raise
 
 
 def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
@@ -109,11 +118,11 @@ def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
 
 
 def _checked_records(
-    header: StreamHeader, lines: Iterator[tuple[int, str]]
+    header: StreamHeader, lines: Iterator[tuple[int, str]], records: list[StreamUpdate]
 ) -> list[StreamUpdate]:
-    """The records of the update lines of ``lines``, built in one loop: each
-    line meets the header's rules, then the multiset rules, and then its
-    record is appended. A line is split once
+    """``records`` with the records of the update lines of ``lines`` appended,
+    built in one loop: each line meets the header's rules, then the multiset
+    rules, and then its record is appended. A line is split once
     (``str.split`` and ``str.strip`` know the same whitespace) and stripped
     only to quote it in an error; only a line that is not four fields led by
     an op is tested for blank or comment. ``1.0 <= w <= wmax`` needs no
@@ -127,9 +136,14 @@ def _checked_records(
 
     The multiset rules are ``_live_edges``' in its words, on pairs that the
     line rules have already bounded to 1..n and u != v, keyed by the same
-    packed ``u*(n+1)+v``; their errors carry no line number. A delete's
-    record takes its insert's float object, equal to the one it parsed, so
-    a delete holds no float of its own."""
+    packed ``u*(n+1)+v``; their errors carry no line number. A dynamic
+    stream meets them inline in ``present``, where a delete finds its
+    insert's weight and takes its float object, so a delete holds no float
+    of its own. An insert-only stream's one rule is that no pair repeats:
+    its keys go to ``pairs``, a list that holds less than the dict, sorted
+    and scanned for two equal neighbours after the pass, and only on a
+    repeat does ``_live_edges`` run over the records, to raise the first in
+    stream order. A list, not an ``array``: for a huge n a key passes 2**63."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     size = n + 1
     new = tuple.__new__
@@ -137,7 +151,8 @@ def _checked_records(
     known = ids.get
     present: dict[int, float] = {}
     popped = present.pop
-    records: list[StreamUpdate] = []
+    pairs: list[int] = []
+    seen = pairs.append
     keep = records.append
     for lineno, raw in lines:
         parts = raw.split()
@@ -166,9 +181,12 @@ def _checked_records(
             raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
         key = u * size + v if u < v else v * size + u
         if op == INSERT:
-            if key in present:
+            if insert_only:
+                seen(key)
+            elif key in present:
                 raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
-            present[key] = w
+            else:
+                present[key] = w
         else:
             inserted = popped(key, None)
             if inserted is None:
@@ -180,6 +198,9 @@ def _checked_records(
                 )
             w = inserted
         keep(new(StreamUpdate, (op, u, v, w)))
+    pairs.sort()
+    if any(map(eq, pairs, islice(pairs, 1, None))):
+        _live_edges(header, records)
     return records
 
 
@@ -219,9 +240,12 @@ def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapsh
 def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
     """Live edges after the updates, keyed by ``u*(n+1)+v`` with u < v and
     mapped to the weight; strict multiset rules for updates built in code,
-    which ``replay`` gets. Parsed lines meet the same rules, in the same
-    words, inline in ``_checked_records``, and a parity test holds the two
-    to one text. ``updates`` is consumed once, in order. Each update's pair
+    which ``replay`` gets. Parsed lines of a dynamic stream meet the same
+    rules, in the same words, inline in ``_checked_records``, and a parity
+    test holds the two to one text. An insert-only parse that finds a
+    repeated pair, or that fails on a line, runs this over the records it
+    built, so the first repeat in stream order is raised in these words.
+    ``updates`` is consumed once, in order. Each update's pair
     is checked before it is packed, so that no bad id can alias another
     pair."""
     n = header.n

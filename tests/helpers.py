@@ -286,14 +286,14 @@ def python_calls(fn, *args):
 # --- the per-line checker before records shared their vertex ids --------------
 
 
-def checked_records_reference(header, lines):
+def checked_records_reference(header, lines, records):
     """``stream_io._checked_records`` before its id table and before it took
     in the multiset rules: every line converts both ids with ``int`` and
     range-checks them, so each record holds ints of its own, and the records
     then pass through ``stream_io._live_edges`` one by one as their lines are
-    read, so each delete holds a float of its own. The reference that the
+    read, so each delete holds a float of its own. Like the parse's loop it
+    appends to ``records`` and returns it. The reference that the
     shared-id, one-loop parse is checked against."""
-    records = []
     _live_edges(header, _line_records(header, lines, records.append))
     return records
 

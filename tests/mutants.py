@@ -129,6 +129,21 @@ MUTANTS = (
            ("test_stream_io.py",)),
     Mutant("multiset.parse.delete-keeps-its-own-float", "stream_io.py",
            "            w = inserted\n", "", ("test_stream_io.py",)),
+    # an insert-only stream's repeats: its keys sorted and scanned after the
+    # pass, and looked for again before a ParseError from the pass is raised
+    Mutant("multiset.parse.insert-only-repeat-unchecked", "stream_io.py",
+           "    if any(map(eq, pairs, islice(pairs, 1, None))):\n"
+           "        _live_edges(header, records)\n", "", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-keys-left-unsorted", "stream_io.py",
+           "    pairs.sort()\n", "", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-keys-compared-two-apart", "stream_io.py",
+           "islice(pairs, 1, None)", "islice(pairs, 2, None)", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-keys-in-the-dict", "stream_io.py",
+           "if insert_only:\n                seen(key)", "if False:\n                seen(key)",
+           ("test_stream_io.py",)),
+    Mutant("multiset.parse.repeat-unchecked-before-a-parse-error", "stream_io.py",
+           "        if header.model == INSERT_ONLY:  # a repeat on an earlier line wins\n"
+           "            _live_edges(header, records)\n", "", ("test_stream_io.py",)),
     Mutant("multiset.replay.weight-mismatch-unchecked", "stream_io.py",
            "            if inserted != w:\n                raise StreamError(\n"
            "                    f\"delete weight {w} != inserted weight {inserted} \"\n"

@@ -4,18 +4,21 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import wmstream
-from wmstream import CapacityError, GenConfig, ParseError, generate, make_estimator, serialize
-from wmstream import reduction
+from wmstream import (CapacityError, GenConfig, ParseError, generate, make_estimator, parse_stream,
+                      serialize)
+from wmstream import generators, reduction
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -522,15 +525,82 @@ def test_a_mutated_golden_stream_exits_with_a_documented_code_and_one_line(
     assume(n is None or n <= 10**6)
     path = tmp_path / "fuzz.stream"
     path.write_bytes(data)
+    _exits_with_a_documented_code_and_one_line([*command, "--stream", str(path)])
+
+
+def _exits_with_a_documented_code_and_one_line(argv) -> int:
+    """``main(argv)``'s exit code, once it is checked to be 0 with nothing on
+    stderr, or a documented error code with one ``wmstream:`` line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*command, "--stream", str(path)])
+        code = main(argv)
     assert code in (0, 2, 3, 4, 5)
     if code == 0:
         assert err.getvalue() == ""
     else:
         lines = err.getvalue().splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith("wmstream: ") and lines[0].endswith("\n")
+    return code
+
+
+def _any_float_or(valid):
+    """A value from ``valid``, any float, finite or not, or a float at an edge."""
+    return valid | st.floats() | st.sampled_from([0.0, -0.0, 5e-324, math.nextafter(1.0, 2.0)])
+
+
+# An epsilon in (0, 1] is kept at 0.05 or more, so that a golden stream
+# (wmax <= 1024) asks for at most 142 levels, or at 1e-5 or less, where the
+# schedule counts past 2**18 levels and refuses before it stores a threshold;
+# between the two a run would hold up to 2**18 levels.
+EPSILONS = _any_float_or(st.floats(0.05, 1.0)).filter(lambda e: not 1e-5 < e < 0.05)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stream=st.sampled_from(GOLDEN_STREAMS),
+       command=st.sampled_from([c for c in FUZZ_COMMANDS if c[0] == "estimate"]),
+       epsilon=EPSILONS, delta=_any_float_or(st.floats(0.001, 0.999)))
+def test_an_estimate_flag_value_exits_with_a_documented_code_and_one_line(
+        tmp_path, stream, command, epsilon, delta):
+    path = tmp_path / "flags.stream"
+    path.write_bytes(stream)
+    # "--epsilon=-inf": a separate "-inf" would be read as a flag
+    argv = [*command, "--stream", str(path), f"--epsilon={epsilon!r}", f"--delta={delta!r}"]
+    _exits_with_a_documented_code_and_one_line(argv)
+
+
+GEN_TYPES = typing.get_type_hints(GenConfig)
+# each GenConfig field's values in a config that gen accepts, small enough
+# that the O(n**2) families stay fast
+GEN_VALID = {"family": st.sampled_from(generators.FAMILIES), "n": st.integers(1, 9),
+             "rows": st.integers(1, 4), "cols": st.integers(1, 4), "nu": st.integers(1, 3),
+             "p": st.floats(0.0, 1.0), "weights": st.sampled_from(generators.WEIGHT_DISTS),
+             "wmax": st.floats(1.0, 1e6), "alpha": st.floats(0.01, 10.0),
+             "order": st.sampled_from(generators.ORDERS), "churn": st.floats(0.0, 1.0),
+             "seed": st.integers()}
+GEN_WILD = {float: _any_float_or(st.nothing()), int: st.integers(max_value=9)}
+
+
+@st.composite
+def gen_configs(draw):
+    """``gen`` flags for every GenConfig field: a valid config in which up to
+    two number fields take any float, or any int up to 9, instead."""
+    numbers = [name for name, kind in GEN_TYPES.items() if kind is not str]
+    wild = draw(st.sets(st.sampled_from(numbers), max_size=2))
+    return [f"--{name}={draw(GEN_WILD[GEN_TYPES[name]] if name in wild else GEN_VALID[name])}"
+            for name in GenConfig._fields]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=gen_configs())
+def test_a_gen_config_exits_with_a_documented_code_and_one_line(tmp_path, flags):
+    out = tmp_path / "gen.stream"
+    out.unlink(missing_ok=True)
+    if _exits_with_a_documented_code_and_one_line(["gen", *flags, "--out", str(out)]) == 0:
+        parse_stream(out.read_bytes())  # what gen writes, the parser reads
+    else:
+        assert not out.exists()
 
 
 # --- the verdict path: a failed check exits 5 and still writes its output ----

@@ -455,6 +455,93 @@ def test_an_error_in_the_first_block_is_reported_before_a_non_utf8_byte_in_the_t
     assert capsys.readouterr().err == f"wmstream: {want[3]}\n"
 
 
+# --- an insert-only stream's repeats, found after the pass ----------------------
+# The parse finds a repeated pair of an insert-only stream by sorting the
+# packed pairs once the lines are read; these pin that the error and its
+# order are as if each line were checked as it came.
+
+@pytest.mark.parametrize("later, kind", [
+    ("+ 1 9 3", "vertex out of range"), ("+ 1 2 x", "bad update fields"),
+    ("- 1 3 3", "delete in insert-only stream"), ("+ 3 3 1", "self-loop"),
+    ("+ 1 3 9", "weight 9.0 outside"), ("bogus", "bad update")])
+def test_an_insert_only_repeat_comes_before_a_line_error_on_a_later_line(later, kind):
+    text = f"n 3 wmax 4 model insert-only\n+ 1 2 3\n+ 1 3 3\n+ 2 1 3\n{later}\n"
+    assert kind in _parse_error(text.replace("+ 2 1 3\n", ""))[3]  # alone, a line error
+    want = (StreamError, 2, None, "duplicate insert of edge (1, 2)")
+    assert _outcomes(text.encode(), text) == [want] * 3
+
+
+def test_an_insert_only_line_error_comes_before_a_repeat_on_a_later_line():
+    text = "n 3 wmax 4 model insert-only\n+ 1 2 3\n# c\n+ 1 9 3\n+ 2 1 3\n"
+    want = (ParseError, 2, 4, "line 4: vertex out of range in '+ 1 9 3'")
+    assert _outcomes(text.encode(), text) == [want] * 3
+
+
+@pytest.mark.parametrize("n, lines, pair", [
+    # the first repeat in stream order is of the pair with the larger key
+    (5, ["+ 3 4 1", "+ 1 2 1", "+ 4 3 1", "+ 2 1 1"], (3, 4)),
+    # the first repeated line, not the pair first inserted
+    (5, ["+ 1 2 1", "+ 3 4 1", "+ 4 3 1", "+ 2 1 1"], (3, 4)),
+    # a pair's third insert is not its first repeat
+    (5, ["+ 4 5 1", "+ 1 2 1", "+ 2 1 1", "+ 5 4 1", "+ 1 2 1"], (1, 2)),
+    # packed keys past 2**64
+    (2**64, [f"+ {2**64} 1 1", f"+ 3 {2**64 - 1} 1", "+ 2 1 1", f"+ {2**64 - 1} 3 1",
+             f"+ 1 {2**64} 1"], (3, 2**64 - 1)),
+])
+def test_of_two_insert_only_repeats_the_first_in_stream_order_is_reported(n, lines, pair):
+    text = f"n {n} wmax 4 model insert-only\n" + "".join(f"{line}\n" for line in lines)
+    want = (StreamError, 2, None, f"duplicate insert of edge {pair}")
+    assert _outcomes(text.encode(), text) == [want] * 3
+
+
+def _insert_only_blocks(head: str, blocks: int, tail: bytes) -> bytes:
+    """An insert-only stream on vertices 1..400: ``head``, then distinct
+    inserts on 3..400 until ``blocks`` reads of ``_BLOCK`` bytes are passed,
+    then ``tail``."""
+    rng = random.Random(7)
+    pairs = iter(rng.sample([(u, v) for u in range(3, 401) for v in range(u + 1, 401)], 20_000))
+    out = bytearray(f"n 400 wmax 8 model insert-only\n{head}".encode())
+    while len(out) <= blocks * stream_io._BLOCK:
+        u, v = next(pairs)
+        out += f"+ {v} {u} {rng.randint(1, 8)}\n".encode()
+    return bytes(out) + tail
+
+
+@pytest.mark.parametrize("head, kind, message", [
+    ("+ 1 2 3\n+ 3 1 3\n+ 2 1 3\n", StreamError, "duplicate insert of edge (1, 2)"),
+    ("+ 1 2 3\n+ 1 2 x\n", ParseError, "line 3: bad update fields in '+ 1 2 x'"),
+])
+def test_an_insert_only_error_in_the_first_block_comes_before_a_non_utf8_byte_in_the_third(
+        head, kind, message, tmp_path, capsys):
+    data = _insert_only_blocks(head, 2, b"# \xff\n")
+    assert data.index(b"\xff") > 2 * stream_io._BLOCK
+    want = (kind, 2, 3 if kind is ParseError else None, message)
+    assert _parse_error(io.BytesIO(data)) == _parse_error(data) == want
+    path = tmp_path / "bad-late.stream"
+    path.write_bytes(data)
+    assert main(["estimate", "--stream", str(path), "--epsilon", "0.5"]) == 2
+    assert capsys.readouterr().err == f"wmstream: {message}\n"
+
+
+def test_an_insert_only_parse_holds_its_pairs_in_a_list_not_a_dict():
+    # the parse's transient, (peak - held) per update, on bytes, so that the
+    # block reader holds one block of lines. 20,000 distinct pairs over the
+    # ids 1001..2000: about 54 B per update with the pairs' packed keys in a
+    # list sorted after the pass, 76 B with them in a dict filled during it
+    rng = random.Random(5)
+    pairs = rng.sample([(u, v) for u in range(1001, 2001) for v in range(u + 1, 2001)], 20_000)
+    data = ("n 2000 wmax 8 model insert-only\n" + "".join(
+        f"+ {u} {v} 2\n" for u, v in pairs)).encode()
+    tracemalloc.start()
+    try:
+        _, updates = parse_stream(data)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(updates) == 20_000
+    assert (peak - held) / len(updates) < 64
+
+
 # Each test below reads with 16-byte blocks. The 29-byte header fills the
 # first block and the start of the second, so the first piece is the header
 # and the second piece's block starts at byte 29.
