@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParameterError
 from .estimators import ESTIMATORS, make_estimator
@@ -85,7 +85,7 @@ def combine(schedule: LevelSchedule, s_hats: Sequence[float]) -> tuple[LevelStat
 
 def run(
     header: StreamHeader,
-    updates: Sequence[StreamUpdate],
+    updates: Iterable[StreamUpdate],
     epsilon: float,
     delta: float,
     estimator_kind: str,

@@ -9,9 +9,11 @@ Format (UTF-8, LF):
 from __future__ import annotations
 
 import io
-from itertools import chain, islice
+from array import array
+from collections.abc import Sequence
+from itertools import chain, islice, repeat
 from operator import eq
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, StreamError
 from .schedule import wmax_refusal
@@ -24,6 +26,9 @@ DELETE = "delete"
 
 _OP_CHARS = {"+": INSERT, "-": DELETE}
 _OP_TO_CHAR = {op: char for char, op in _OP_CHARS.items()}
+# A dynamic stream's op column holds 1 for an insert and 0 for a delete. A
+# list, since list.__getitem__ is a faster call than a tuple's.
+_OPS = [DELETE, INSERT]
 
 _BLOCK = 1 << 16  # bytes read at a time from an open file
 
@@ -41,6 +46,57 @@ class StreamUpdate(NamedTuple):
     u: int
     v: int
     w: float
+
+
+class UpdateColumns:
+    """A parsed stream's updates held as typed columns: ``u`` and ``v`` in
+    the smallest unsigned ``array`` that holds ``n``, or a list past
+    2**64 - 1; ``w`` in an ``array("d")``; and the op as ``repeat(INSERT)``
+    on an insert-only stream, or as a ``bytearray`` of ``_OPS`` codes on a
+    dynamic one. It reads as a sequence of ``StreamUpdate``: ``len``,
+    iteration, which builds each record as it is reached, an index, which
+    gives a record, and a slice, which gives a list. It compares equal to
+    any sequence of equal records. It has no public method: the records it
+    yields are its whole interface."""
+
+    __slots__ = ("_op", "_u", "_v", "_w")
+
+    def __init__(self, n: int, insert_only: bool):
+        self._op = repeat(INSERT) if insert_only else bytearray()
+        self._u, self._v, self._w = _column(n), _column(n), array("d")
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def __iter__(self) -> Iterator[StreamUpdate]:
+        ops = self._op
+        if isinstance(ops, bytearray):
+            ops = map(_OPS.__getitem__, ops)
+        return map(tuple.__new__, repeat(StreamUpdate), zip(ops, self._u, self._v, self._w))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        u, v, w = self._u[index], self._v[index], self._w[index]
+        op = _OPS[self._op[index]] if isinstance(self._op, bytearray) else INSERT
+        return StreamUpdate(op, u, v, w)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Sequence, UpdateColumns)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"UpdateColumns({list(self)!r})"
+
+
+def _column(top: int) -> array | list:
+    """An empty column for ints in 0..top: an ``array`` of the smallest
+    unsigned typecode that holds ``top``, or a list past 2**64 - 1."""
+    for code in "BHIQ":
+        if top < 1 << 8 * array(code).itemsize:
+            return array(code)
+    return []
 
 
 class GraphSnapshot(NamedTuple):
@@ -71,18 +127,19 @@ def decode_text(text: str | bytes, what: str, offset: int = 0) -> str:
         ) from None
 
 
-def parse_stream(source: str | bytes | BinaryIO):
+def parse_stream(source: str | bytes | BinaryIO) -> tuple[StreamHeader, UpdateColumns]:
     """Parse a stream into (header, updates) in one pass. ``source`` is the
     text, its UTF-8 bytes, or an open binary file, which is read in blocks of
     ``_BLOCK`` bytes so that only one block's lines are held beside the
-    records. ``_checked_records`` checks each update line against the header
-    and then against the multiset rules, so a multiset error on an earlier
-    line is reported before a line error on a later one. On an insert-only
-    stream its repeat check runs after the pass, so a ParseError from the
-    pass first has ``_live_edges`` look for a repeat in the records built so
-    far. Each block is decoded just before its lines are read, so a line or
-    multiset error in an earlier block is reported before a non-UTF-8 byte in
-    a later one."""
+    updates. The updates are ``UpdateColumns``, typed columns that yield
+    ``StreamUpdate`` records as they are read. ``_checked_records`` checks
+    each update line against the header and then against the multiset
+    rules, so a multiset error on an earlier line is reported before a line
+    error on a later one. On an insert-only stream its repeat check runs
+    after the pass, so a ParseError from the pass first has ``_live_edges``
+    look for a repeat in the updates parsed so far. Each block is decoded
+    just before its lines are read, so a line or multiset error in an
+    earlier block is reported before a non-UTF-8 byte in a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     for lineno, raw in lines:  # blank and comment lines as in _checked_records
         parts = raw.split()
@@ -91,7 +148,7 @@ def parse_stream(source: str | bytes | BinaryIO):
             break
     else:
         raise ParseError("missing header line")
-    records: list[StreamUpdate] = []
+    records = UpdateColumns(header.n, header.model == INSERT_ONLY)
     try:
         return header, _checked_records(header, lines, records)
     except ParseError:
@@ -118,42 +175,37 @@ def _text_pieces(source: str | bytes | BinaryIO) -> Iterator[str]:
 
 
 def _checked_records(
-    header: StreamHeader, lines: Iterator[tuple[int, str]], records: list[StreamUpdate]
-) -> list[StreamUpdate]:
-    """``records`` with the records of the update lines of ``lines`` appended,
-    built in one loop: each line meets the header's rules, then the multiset
-    rules, and then its record is appended. A line is split once
+    header: StreamHeader, lines: Iterator[tuple[int, str]], records: UpdateColumns
+) -> UpdateColumns:
+    """``records`` with the update lines of ``lines`` appended to its
+    columns, in one loop: each line meets the header's rules, then the
+    multiset rules, and then its fields are appended. A line is split once
     (``str.split`` and ``str.strip`` know the same whitespace) and stripped
     only to quote it in an error; only a line that is not four fields led by
     an op is tested for blank or comment. ``1.0 <= w <= wmax`` needs no
     ``isfinite``: the header makes wmax finite, and nan fails every
-    comparison. ``tuple.__new__`` builds a record as the NamedTuple's
-    ``__new__`` does, without its Python frame. Records share one int per
-    vertex-id token: ``ids`` keeps a token's first int once it passed the
-    1..n check, and a line of two known tokens skips their ``int`` calls and
-    range check. ``ids`` is O(distinct tokens) and dies with the parse, so
-    where ids each occur once it only adds to the parse's peak.
+    comparison. Every value appended has passed its checks, so it fits its
+    column.
 
     The multiset rules are ``_live_edges``' in its words, on pairs that the
     line rules have already bounded to 1..n and u != v, keyed by the same
     packed ``u*(n+1)+v``; their errors carry no line number. A dynamic
     stream meets them inline in ``present``, where a delete finds its
-    insert's weight and takes its float object, so a delete holds no float
-    of its own. An insert-only stream's one rule is that no pair repeats:
-    its keys go to ``pairs``, a list that holds less than the dict, sorted
-    and scanned for two equal neighbours after the pass, and only on a
-    repeat does ``_live_edges`` run over the records, to raise the first in
-    stream order. A list, not an ``array``: for a huge n a key passes 2**63."""
+    insert's weight. An insert-only stream's one rule is that no pair
+    repeats: its keys go to 256 buckets by their high bits, each a column
+    as ``_column`` makes them, so equal keys share a bucket. After the pass
+    each bucket is sorted on its own, small enough to stay in cache, and
+    scanned for two equal neighbours; only on a repeat does ``_live_edges``
+    run over the records, to raise the first in stream order."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     size = n + 1
-    new = tuple.__new__
-    ids: dict[str, int] = {}
-    known = ids.get
     present: dict[int, float] = {}
     popped = present.pop
-    pairs: list[int] = []
-    seen = pairs.append
-    keep = records.append
+    buckets = [_column(n * size) for _ in range(256)]
+    shift = max(0, (n * size).bit_length() - 8)  # every key is below n * size
+    into = [bucket.append for bucket in buckets]
+    put_u, put_v, put_w = records._u.append, records._v.append, records._w.append
+    mark = None if insert_only else records._op.append
     for lineno, raw in lines:
         parts = raw.split()
         if len(parts) != 4 or (op := _OP_CHARS.get(parts[0])) is None:
@@ -161,20 +213,14 @@ def _checked_records(
                 continue
             raise ParseError(f"bad update {raw.strip()!r}", lineno)
         _, a, b, weight = parts
-        u, v = known(a), known(b)
-        fresh = u is None or v is None
         try:
-            if fresh:
-                u, v = int(a), int(b)
-            w = float(weight)
+            u, v, w = int(a), int(b), float(weight)
         except ValueError:
             raise ParseError(f"bad update fields in {raw.strip()!r}", lineno) from None
         if op == DELETE and insert_only:
             raise ParseError("delete in insert-only stream", lineno)
-        if fresh:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
-            u, v = ids.setdefault(a, u), ids.setdefault(b, v)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex out of range in {raw.strip()!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
         if not 1.0 <= w <= wmax:
@@ -182,11 +228,12 @@ def _checked_records(
         key = u * size + v if u < v else v * size + u
         if op == INSERT:
             if insert_only:
-                seen(key)
+                into[key >> shift](key)
             elif key in present:
                 raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
             else:
                 present[key] = w
+                mark(1)
         else:
             inserted = popped(key, None)
             if inserted is None:
@@ -196,11 +243,13 @@ def _checked_records(
                     f"delete weight {w} != inserted weight {inserted} "
                     f"for edge {divmod(key, size)}"
                 )
-            w = inserted
-        keep(new(StreamUpdate, (op, u, v, w)))
-    pairs.sort()
-    if any(map(eq, pairs, islice(pairs, 1, None))):
-        _live_edges(header, records)
+            mark(0)
+        put_u(u)
+        put_v(v)
+        put_w(w)
+    for keys in map(sorted, buckets):
+        if any(map(eq, keys, islice(keys, 1, None))):
+            _live_edges(header, records)
     return records
 
 

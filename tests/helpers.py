@@ -283,17 +283,18 @@ def python_calls(fn, *args):
                if path != "~")
 
 
-# --- the per-line checker before records shared their vertex ids --------------
+# --- the per-line checker before the parse held typed columns ---------------
 
 
-def checked_records_reference(header, lines, records):
-    """``stream_io._checked_records`` before its id table and before it took
-    in the multiset rules: every line converts both ids with ``int`` and
-    range-checks them, so each record holds ints of its own, and the records
-    then pass through ``stream_io._live_edges`` one by one as their lines are
-    read, so each delete holds a float of its own. Like the parse's loop it
-    appends to ``records`` and returns it. The reference that the
-    shared-id, one-loop parse is checked against."""
+def checked_records_reference(header, lines, columns):
+    """``stream_io._checked_records`` before it took in the multiset rules
+    and held its updates in columns: every line converts both ids with
+    ``int`` and range-checks them, and the records then pass through
+    ``stream_io._live_edges`` one by one as their lines are read. It leaves
+    ``columns``, the parse's empty columns, as they are, and returns a list
+    of ``StreamUpdate`` records of its own. The reference that the one-loop
+    parse is checked against."""
+    records = []
     _live_edges(header, _line_records(header, lines, records.append))
     return records
 

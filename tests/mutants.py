@@ -80,22 +80,6 @@ MUTANTS = (
     Mutant("records.error-quotes-the-unstripped-line", "stream_io.py",
            'raise ParseError(f"bad update {raw.strip()!r}", lineno)',
            'raise ParseError(f"bad update {raw!r}", lineno)', ("test_stream_io.py",)),
-    # the id table that records share their vertex ints through
-    Mutant("ids.known-path-never-taken", "stream_io.py",
-           "            u, v = ids.setdefault(a, u), ids.setdefault(b, v)\n", "",
-           ("test_stream_io.py",)),
-    Mutant("ids.new-object-replaces-the-first", "stream_io.py",
-           "u, v = ids.setdefault(a, u), ids.setdefault(b, v)", "ids[a], ids[b] = u, v",
-           ("test_stream_io.py",)),
-    Mutant("ids.fresh-only-when-both-tokens-are-new", "stream_io.py",
-           "fresh = u is None or v is None", "fresh = u is None and v is None",
-           ("test_stream_io.py",)),
-    Mutant("ids.range-unchecked-on-a-new-token", "stream_io.py",
-           "            if not (1 <= u <= n and 1 <= v <= n):\n"
-           "                raise ParseError(f\"vertex out of range in {raw.strip()!r}\", lineno)\n",
-           "", ("test_stream_io.py",)),
-    Mutant("ids.self-loop-by-identity", "stream_io.py",
-           "        if u == v:\n", "        if u is v:\n", ("test_stream_io.py",)),
     # the parser's range checks
     Mutant("parser.vertex-above-n-accepted", "stream_io.py",
            "if not (1 <= u <= n and 1 <= v <= n):", "if not (1 <= u <= n and 1 <= v <= n + 1):",
@@ -107,6 +91,14 @@ MUTANTS = (
            "if not 1.0 <= w <= wmax:", "if not 1.0 <= w:", ("test_stream_io.py",)),
     Mutant("parser.weight-as-two-comparisons", "stream_io.py",
            "if not 1.0 <= w <= wmax:", "if w < 1.0 or w > wmax:", ("test_stream_io.py",)),
+    Mutant("parser.self-loop-accepted", "stream_io.py",
+           "        if u == v:\n", "        if False:\n", ("test_stream_io.py",)),
+    # the typed columns that hold the parsed updates
+    Mutant("columns.typecode-threshold-off-by-one", "stream_io.py",
+           "if top < 1 << 8 * array(code).itemsize:", "if top <= 1 << 8 * array(code).itemsize:",
+           ("test_stream_io.py",)),
+    Mutant("columns.delete-marked-as-insert", "stream_io.py",
+           "            mark(0)\n", "            mark(1)\n", ("test_stream_io.py",)),
     # the multiset rules in their two homes: inline in the parse's loop, and
     # in _live_edges for replay
     Mutant("multiset.parse.weight-mismatch-unchecked", "stream_io.py",
@@ -127,20 +119,20 @@ MUTANTS = (
     Mutant("multiset.parse.key-packed-unordered", "stream_io.py",
            "key = u * size + v if u < v else v * size + u", "key = u * size + v",
            ("test_stream_io.py",)),
-    Mutant("multiset.parse.delete-keeps-its-own-float", "stream_io.py",
-           "            w = inserted\n", "", ("test_stream_io.py",)),
-    # an insert-only stream's repeats: its keys sorted and scanned after the
-    # pass, and looked for again before a ParseError from the pass is raised
+    # an insert-only stream's repeats: its keys bucketed, sorted and scanned
+    # after the pass, and looked for again before a ParseError from the pass
     Mutant("multiset.parse.insert-only-repeat-unchecked", "stream_io.py",
-           "    if any(map(eq, pairs, islice(pairs, 1, None))):\n"
-           "        _live_edges(header, records)\n", "", ("test_stream_io.py",)),
-    Mutant("multiset.parse.insert-only-keys-left-unsorted", "stream_io.py",
-           "    pairs.sort()\n", "", ("test_stream_io.py",)),
+           "        if any(map(eq, keys, islice(keys, 1, None))):\n"
+           "            _live_edges(header, records)\n", "", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-bucket-left-unsorted", "stream_io.py",
+           "map(sorted, buckets)", "map(list, buckets)", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-last-bucket-skipped", "stream_io.py",
+           "map(sorted, buckets)", "map(sorted, buckets[:-1])", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-keys-compared-two-apart", "stream_io.py",
-           "islice(pairs, 1, None)", "islice(pairs, 2, None)", ("test_stream_io.py",)),
+           "islice(keys, 1, None)", "islice(keys, 2, None)", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-keys-in-the-dict", "stream_io.py",
-           "if insert_only:\n                seen(key)", "if False:\n                seen(key)",
-           ("test_stream_io.py",)),
+           "if insert_only:\n                into[key >> shift](key)",
+           "if False:\n                into[key >> shift](key)", ("test_stream_io.py",)),
     Mutant("multiset.parse.repeat-unchecked-before-a-parse-error", "stream_io.py",
            "        if header.model == INSERT_ONLY:  # a repeat on an earlier line wins\n"
            "            _live_edges(header, records)\n", "", ("test_stream_io.py",)),

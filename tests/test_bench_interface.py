@@ -5,6 +5,8 @@ change which would break a traced benchmark run fails here first."""
 import inspect
 import json
 
+from hypothesis import given, strategies as st
+
 from wmstream import cli, estimators, generators, oracle, reduction, schedule, stream_io
 
 # one exact and one greedy block in eval's suite format
@@ -69,8 +71,9 @@ def test_run_binds_by_the_names_tracing_reads():
     json.dumps(reduction.report_to_dict(report), indent=2)
 
 
-def test_estimate_hands_run_a_list_of_records(tmp_path, monkeypatch):
-    # tracing counts the updates with len() and reads .op/.u/.v/.w on each
+def test_estimate_hands_run_sized_records_that_iterate_twice_alike(tmp_path, monkeypatch):
+    # tracing counts the updates with len(), then iterates them twice (its
+    # direct feed and its counting run) and reads .op/.u/.v/.w on each
     seen = []
     real_run = reduction.run
 
@@ -84,10 +87,39 @@ def test_estimate_hands_run_a_list_of_records(tmp_path, monkeypatch):
     stream.write_text(stream_io.serialize(header, updates), encoding="utf-8")
     assert cli.main(["estimate", "--stream", str(stream), "--epsilon", "0.5",
                      "--out", str(tmp_path / "est.json")]) == 0
-    [given] = seen
-    assert type(given) is list and len(given) == len(updates)
-    assert all(type(u) is stream_io.StreamUpdate for u in given)
-    assert [(u.op, u.u, u.v, u.w) for u in given] == [tuple(u) for u in updates]
+    [handed] = seen
+    assert len(handed) == len(updates)
+    first, second = list(handed), list(handed)
+    assert first == second
+    assert all(type(u) is stream_io.StreamUpdate for u in first)
+    assert [(u.op, u.u, u.v, u.w) for u in first] == [tuple(u) for u in updates]
+
+
+@st.composite
+def _parsed_streams(draw):
+    """(header, columns, estimator): a parsed insert-only or churned stream
+    on at most 7 vertices, so that the exact estimator's live set stays
+    under the oracle cap, and an estimator that takes its model."""
+    n = draw(st.integers(2, 7))
+    wmax = draw(st.integers(1, 16))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda p: p[0] != p[1]), unique_by=lambda p: tuple(sorted(p)), max_size=12))
+    updates = [stream_io.StreamUpdate(stream_io.INSERT, u, v, float(draw(st.integers(1, wmax))))
+               for u, v in pairs]
+    header = stream_io.StreamHeader(n, float(wmax), stream_io.INSERT_ONLY)
+    churn = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    header, updates = generators.dynamify(header, updates, churn, draw(st.integers(0, 99)))
+    header, columns = stream_io.parse_stream(stream_io.serialize(header, updates))
+    kinds = ["exact"] + (["greedy"] if header.model == stream_io.INSERT_ONLY else [])
+    return header, columns, draw(st.sampled_from(kinds))
+
+
+@given(_parsed_streams(), st.sampled_from([0.1, 0.5, 1.0]))
+def test_run_on_the_columns_and_on_their_list_writes_the_same_report(case, epsilon):
+    header, columns, kind = case
+    texts = ["".join(reduction.report_json(reduction.run(header, updates, epsilon, 0.1, kind), {}))
+             for updates in (columns, list(columns))]
+    assert texts[0] == texts[1]
 
 
 def test_make_estimator_and_per_level_update():
