@@ -192,17 +192,20 @@ def _checked_records(
     packed ``u*(n+1)+v``; their errors carry no line number. A dynamic
     stream meets them inline in ``present``, where a delete finds its
     insert's weight. An insert-only stream's one rule is that no pair
-    repeats: its keys go to 256 buckets by their high bits, each a column
-    as ``_column`` makes them, so equal keys share a bucket. After the pass
+    repeats: its keys go to 251 buckets by ``key % 251``, each a column as
+    ``_column`` makes them, so equal keys share a bucket. After the pass
     each bucket is sorted on its own, small enough to stay in cache, and
     scanned for two equal neighbours; only on a repeat does ``_live_edges``
-    run over the records, to raise the first in stream order."""
+    run over the records, to raise the first in stream order. A prime
+    count spreads the keys whenever either endpoint varies, unless n+1 is
+    a multiple of 251 and the larger endpoint is fixed; by the low bits,
+    a star on vertex n would fill one bucket whenever n+1 is a power of
+    two. Keys that do share one bucket cost one sort of them all."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     size = n + 1
     present: dict[int, float] = {}
     popped = present.pop
-    buckets = [_column(n * size) for _ in range(256)]
-    shift = max(0, (n * size).bit_length() - 8)  # every key is below n * size
+    buckets = [_column(n * size) for _ in range(251 if insert_only else 0)]
     into = [bucket.append for bucket in buckets]
     put_u, put_v, put_w = records._u.append, records._v.append, records._w.append
     mark = None if insert_only else records._op.append
@@ -228,7 +231,7 @@ def _checked_records(
         key = u * size + v if u < v else v * size + u
         if op == INSERT:
             if insert_only:
-                into[key >> shift](key)
+                into[key % 251](key)
             elif key in present:
                 raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
             else:

@@ -128,11 +128,15 @@ MUTANTS = (
            "map(sorted, buckets)", "map(list, buckets)", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-last-bucket-skipped", "stream_io.py",
            "map(sorted, buckets)", "map(sorted, buckets[:-1])", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-bucket-by-high-bits", "stream_io.py",
+           "into[key % 251](key)", "into[key * 251 // (n * size)](key)", ("test_stream_io.py",)),
+    Mutant("multiset.parse.insert-only-bucket-by-low-bits", "stream_io.py",
+           "into[key % 251](key)", "into[(key & 255) % 251](key)", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-keys-compared-two-apart", "stream_io.py",
            "islice(keys, 1, None)", "islice(keys, 2, None)", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-keys-in-the-dict", "stream_io.py",
-           "if insert_only:\n                into[key >> shift](key)",
-           "if False:\n                into[key >> shift](key)", ("test_stream_io.py",)),
+           "if insert_only:\n                into[key % 251](key)",
+           "if False:\n                into[key % 251](key)", ("test_stream_io.py",)),
     Mutant("multiset.parse.repeat-unchecked-before-a-parse-error", "stream_io.py",
            "        if header.model == INSERT_ONLY:  # a repeat on an earlier line wins\n"
            "            _live_edges(header, records)\n", "", ("test_stream_io.py",)),

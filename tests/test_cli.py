@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import wmstream
 from wmstream import (CapacityError, GenConfig, ParseError, generate, make_estimator, parse_stream,
                       serialize)
-from wmstream import generators, reduction
+from wmstream import cli, generators, reduction
 from wmstream.cli import main, parse_suite, render_suite_csv, run_suite_row
 
 TWO_EDGE_STREAM = "n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 4\n"
@@ -704,7 +704,7 @@ def test_estimate_keeps_the_collector_paused_until_it_frees_the_records(
     try:
         (gc.enable if enabled else gc.disable)()
         assert estimate(_churned_text(3)) == 0
-        assert young == []  # any collection after the parse would walk 9,897 records
+        assert young == []  # no collection starts while the command runs
         # on each exit, the records are freed before the collector resumes
         assert estimate(_churned_text(3) + "+ 1 2 x\n") == 2
         assert all(size < 4950 for size in young)
@@ -763,12 +763,18 @@ def _run_command(tmp_path, template, stream, code, n=30, reps=2):
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("template, stream, code", COMMANDS, ids=COMMAND_IDS)
-def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, template, stream, code,
-                                                  enabled):
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, template,
+                                                  stream, code, enabled):
+    seen = []  # the collector's state as each command starts
+    for name in ("cmd_estimate", "cmd_oracle", "cmd_gen", "cmd_eval"):
+        command = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args, command=command: (
+            seen.append(gc.isenabled()), command(args))[1])
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         _run_command(tmp_path, template, stream, code)
+        assert seen == [False]
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

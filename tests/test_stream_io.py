@@ -515,16 +515,31 @@ def test_an_insert_only_error_in_the_first_block_comes_before_a_non_utf8_byte_in
     assert capsys.readouterr().err == f"wmstream: {message}\n"
 
 
-def test_an_insert_only_parse_holds_its_pairs_in_typed_buckets():
+def _uniform_pairs(ids, count):
+    """``count`` distinct pairs of ``ids``, drawn with a fixed seed."""
+    return random.Random(5).sample([(u, v) for u in ids for v in ids if u < v], count)
+
+
+@pytest.mark.parametrize("n, pairs", [
+    # 20,000 distinct pairs over the ids 1001..2000
+    (2000, lambda: _uniform_pairs(range(1001, 2001), 20_000)),
+    # a star on vertex 1: every smaller endpoint is 1, so bucketing by the
+    # keys' high bits puts them all in one bucket
+    (20_001, lambda: [(1, v) for v in range(2, 20_002)]),
+    # a star on vertex n = 2**16 - 1: every key is u * 2**16 + n, so
+    # bucketing by the keys' low bits puts them all in one bucket
+    (2**16 - 1, lambda: [(u, 2**16 - 1) for u in range(1, 20_001)]),
+    # n declared far above the ids used: the keys' high bits are all 0
+    (10**6, lambda: _uniform_pairs(range(1, 1001), 20_000)),
+], ids=["uniform", "star-on-1", "star-on-n", "n-over-declared"])
+def test_an_insert_only_parse_holds_its_pairs_in_typed_buckets(n, pairs):
     # the parse's transient, (peak - held) per update, on bytes, so that the
-    # block reader holds one block of lines. 20,000 distinct pairs over the
-    # ids 1001..2000: about 25 B per update with the pairs' packed keys in
-    # 256 arrays sorted one at a time after the pass, 54 B with them in one
+    # block reader holds one block of lines: 22-29 B per update with the
+    # pairs' packed keys spread over 251 arrays sorted one at a time after
+    # the pass, 42-51 B with them all in one of them, 54 B with them in one
     # list sorted whole, 76 B with them in a dict filled during the pass
-    rng = random.Random(5)
-    pairs = rng.sample([(u, v) for u in range(1001, 2001) for v in range(u + 1, 2001)], 20_000)
-    data = ("n 2000 wmax 8 model insert-only\n" + "".join(
-        f"+ {u} {v} 2\n" for u, v in pairs)).encode()
+    data = (f"n {n} wmax 8 model insert-only\n" + "".join(
+        f"+ {u} {v} 2\n" for u, v in pairs())).encode()
     tracemalloc.start()
     try:
         _, updates = parse_stream(data)
@@ -532,15 +547,16 @@ def test_an_insert_only_parse_holds_its_pairs_in_typed_buckets():
     finally:
         tracemalloc.stop()
     assert len(updates) == 20_000
-    assert (peak - held) / len(updates) < 40
+    assert (peak - held) / len(updates) < 35
 
 
 @pytest.mark.parametrize("n, lines, pair", [
-    # two keys apart in one bucket: found only once the bucket is sorted
-    (400, ["+ 3 7 1", "+ 3 10 1", "+ 7 3 1"], (3, 7)),
-    # the largest pair's key is in the last of the 256 buckets
-    (2**16 - 1, [f"+ {2**16 - 2} {2**16 - 1} 1", "+ 1 2 1", f"+ {2**16 - 1} {2**16 - 2} 1"],
-     (2**16 - 2, 2**16 - 1)),
+    # keys 1210 and 1461 share bucket 206: the repeat is found only once
+    # the bucket is sorted
+    (400, ["+ 3 7 1", "+ 3 258 1", "+ 7 3 1"], (3, 7)),
+    # key 502 is in the first of the 251 buckets, key 501 in the last
+    (400, ["+ 1 101 1", "+ 2 5 1", "+ 101 1 1"], (1, 101)),
+    (400, ["+ 1 100 1", "+ 2 5 1", "+ 100 1 1"], (1, 100)),
 ])
 def test_an_insert_only_repeat_is_found_in_any_bucket(n, lines, pair):
     text = f"n {n} wmax 4 model insert-only\n" + "".join(f"{line}\n" for line in lines)
@@ -750,24 +766,15 @@ def _held_per_update(text, checker=stream_io._checked_records):
     return held / len(updates)
 
 
-def test_records_over_repeated_ids_hold_about_a_third_less():
-    # 20,000 distinct pairs over the ids 1001..2000, past CPython's cached
-    # small ints: each id occurs about 40 times, and two ints of their own
-    # per record would hold about 167 B per update
-    rng = random.Random(5)
-    pairs = rng.sample([(u, v) for u in range(1001, 2001) for v in range(u + 1, 2001)], 20_000)
-    text = "n 2000 wmax 8 model insert-only\n" + "".join(f"+ {u} {v} 2\n" for u, v in pairs)
-    assert _held_per_update(text) < 125
-    assert _held_per_update(text, checked_records_reference) > 160
-
-
 def test_an_insert_only_parse_holds_at_most_24_bytes_per_update():
-    # two ids in the smallest array that holds n and a weight in an array of
-    # doubles; one StreamUpdate per update held 114 B here
-    rng = random.Random(5)
-    pairs = rng.sample([(u, v) for u in range(1001, 2001) for v in range(u + 1, 2001)], 20_000)
-    text = "n 2000 wmax 8 model insert-only\n" + "".join(f"+ {u} {v} 2\n" for u, v in pairs)
+    # 20,000 distinct pairs over the ids 1001..2000, past CPython's cached
+    # small ints: two ids in the smallest array that holds n and a weight in
+    # an array of doubles. A StreamUpdate per update, with two ints of its
+    # own, would hold about 167 B per update
+    text = "n 2000 wmax 8 model insert-only\n" + "".join(
+        f"+ {u} {v} 2\n" for u, v in _uniform_pairs(range(1001, 2001), 20_000))
     assert _held_per_update(text) <= 24
+    assert _held_per_update(text, checked_records_reference) > 160
 
 
 def test_a_dynamic_parse_holds_at_most_24_bytes_per_update():
