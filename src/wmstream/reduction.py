@@ -24,7 +24,7 @@ from .errors import CapacityError, ParameterError
 from .estimators import ESTIMATORS, make_estimator
 from .oracle import check_oracle_cap, exact_mcm, exact_mwm
 from .schedule import LevelSchedule, build_schedule, top_level
-from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate
+from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate, _plain_updates
 
 # Relative slack of the checks that compare float sums, whose rounding
 # depends on the order in which they were added.
@@ -94,7 +94,9 @@ def run(
 
     Each update goes to the estimator once, with the top level that
     ``top_level``'s bisection, made inline, gives its weight; a weight
-    outside [1, wmax], nan included, is left to ``top_level`` to refuse."""
+    outside [1, wmax], nan included, is left to ``top_level`` to refuse.
+    ``updates`` is iterated once, through ``_plain_updates``, so parsed
+    columns are read as plain tuples and no ``StreamUpdate`` is built."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     schedule = build_schedule(epsilon, header.wmax)
@@ -102,7 +104,7 @@ def run(
     delta_prime = delta / (t + 1)
     est = make_estimator(estimator_kind, header.n, delta_prime, header.model, t)
     update, thresholds, wmax = est.update, schedule.thresholds, schedule.wmax
-    for op, u, v, w in updates:
+    for op, u, v, w in _plain_updates(updates):
         if not 1.0 <= w <= wmax:
             top_level(schedule, w)  # raises its WeightRangeError
         update(op, u, v, bisect_right(thresholds, w) - 1)

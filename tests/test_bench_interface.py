@@ -5,9 +5,12 @@ change which would break a traced benchmark run fails here first."""
 import inspect
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
-from wmstream import cli, estimators, generators, oracle, reduction, schedule, stream_io
+from wmstream import (
+    StreamError, cli, estimators, generators, oracle, reduction, schedule, stream_io,
+)
 
 # one exact and one greedy block in eval's suite format
 SUITE = """family=grid
@@ -120,6 +123,69 @@ def test_run_on_the_columns_and_on_their_list_writes_the_same_report(case, epsil
     texts = ["".join(reduction.report_json(reduction.run(header, updates, epsilon, 0.1, kind), {}))
              for updates in (columns, list(columns))]
     assert texts[0] == texts[1]
+
+
+# --- the plain path: run and replay read parsed columns as plain tuples,
+# and build no StreamUpdate ---------------------------------------------------
+
+@given(_parsed_streams())
+def test_the_plain_updates_are_the_records_as_plain_tuples(case):
+    _, columns, _ = case
+    plain = list(stream_io._plain_updates(columns))
+    assert plain == [tuple(r) for r in columns]
+    assert plain == [tuple(columns[i]) for i in range(len(columns))]
+    assert all(type(x) is tuple for x in plain)
+
+
+def test_the_plain_updates_keep_ids_past_2_to_the_64_in_list_columns():
+    n = 2**70
+    _, columns = stream_io.parse_stream(
+        f"n {n} wmax 4 model dynamic\n+ {n} 1 2\n+ 3 {n - 1} 1.5\n- 1 {n} 2\n")
+    assert type(columns._u) is list and type(columns._v) is list
+    plain = list(stream_io._plain_updates(columns))
+    assert plain == [(stream_io.INSERT, n, 1, 2.0), (stream_io.INSERT, 3, n - 1, 1.5),
+                     (stream_io.DELETE, 1, n, 2.0)]
+    assert all(type(x) is tuple for x in plain)
+
+
+@given(_parsed_streams(), st.sampled_from([0.1, 0.5, 1.0]))
+def test_run_on_a_one_shot_generator_of_plain_tuples_writes_the_columns_report(case, epsilon):
+    # test_run_on_the_columns_and_on_their_list_writes_the_same_report holds the list
+    header, columns, kind = case
+    texts = ["".join(reduction.report_json(reduction.run(header, updates, epsilon, 0.1, kind), {}))
+             for updates in (columns, (tuple(r) for r in list(columns)))]
+    assert texts[0] == texts[1]
+
+
+@given(_parsed_streams())
+def test_replay_gives_one_snapshot_from_the_columns_and_their_list(case):
+    header, columns, _ = case
+    assert stream_io.replay(header, columns) == stream_io.replay(header, list(columns))
+
+
+def test_run_and_replay_build_no_record_from_parsed_columns(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a StreamUpdate was built from the columns")
+
+    header, updates = generators.generate(_rows()[0].config)
+    text = stream_io.serialize(header, updates)
+    # a repeat found after the pass, and one looked for before a later line's error
+    repeats = ["n 4 wmax 4 model insert-only\n+ 1 2 1\n+ 3 4 1\n+ 2 1 3\n" + tail
+               for tail in ("", "+ 1 x 1\n")]
+    monkeypatch.setattr(stream_io.UpdateColumns, "__iter__", refuse)
+    parsed_header, columns = stream_io.parse_stream(text)
+    assert parsed_header.model == stream_io.DYNAMIC
+    report = reduction.run(parsed_header, columns, 0.5, 0.1, "exact")
+    assert reduction.verify(report, stream_io.replay(parsed_header, columns)).ok
+    for repeated in repeats:
+        with pytest.raises(StreamError, match=r"duplicate insert of edge \(1, 2\)"):
+            stream_io.parse_stream(repeated)
+    stream = tmp_path / "g.stream"
+    stream.write_text(text, encoding="utf-8")
+    assert cli.main(["estimate", "--stream", str(stream), "--epsilon", "0.5", "--verify",
+                     "--out", str(tmp_path / "est.json")]) == 0
+    with pytest.raises(AssertionError, match="StreamUpdate was built"):
+        list(columns)
 
 
 def test_make_estimator_and_per_level_update():
