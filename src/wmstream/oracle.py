@@ -36,10 +36,11 @@ class OracleResult(NamedTuple):
 
 def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
     """Maximum weighted matching by the frontier dynamic program over the
-    sorted edge list. Ties go to the lexicographically smallest witness, whose
-    value is summed in edge order: the branch-and-bound's answer, bit for bit.
-    A value past the float range raises CapacityError.
-    """
+    sorted edge list: of the optimal matchings, the lexicographically smallest
+    witness, its value summed in edge order. More than MAX_ORACLE_EDGES edges
+    (checked before any search) or a value past the float range raises
+    CapacityError."""
+    check_oracle_cap(snapshot.edges)
     value, witness = _mwm_frontier(sorted(snapshot.edges))
     if value == math.inf:
         raise CapacityError("the matching weight is past the float range")
@@ -76,12 +77,11 @@ def check_oracle_cap(edges) -> None:
 
 
 def _mwm_frontier(edges):
-    """(value, witness) of a maximum weight matching of the sorted edges,
-    whose weights are positive. Partial matchings that agree on the used
-    vertices a later edge touches have the same completions, so only the
-    best of them is kept. Where no vertex leaves the frontier, a skip keeps
-    its state's key, so that layer starts as a copy and tries only takes."""
-    check_oracle_cap(edges)
+    """(value, witness) of a maximum weight matching of the sorted edges, whose
+    weights are positive; the callers check the cap. Partial matchings that agree
+    on the used vertices a later edge touches have the same completions, so one
+    loop per layer keeps only the best of them. Where no vertex leaves the
+    frontier, a skip keeps its key, so the layer starts as a copy and tries takes."""
     m = len(edges)
     bit = {x: i for i, x in enumerate(sorted({x for u, v, _ in edges for x in (u, v)}))}
     masks = [(1 << bit[u]) | (1 << bit[v]) for u, v, _ in edges]
@@ -95,26 +95,19 @@ def _mwm_frontier(edges):
     states = {0: (0.0, 0)}
     for idx, (_, _, w) in enumerate(edges):
         mask, keep, pick = masks[idx], later[idx + 1], 1 << (m - 1 - idx)
-        if keep == later[idx]:  # no vertex leaves, so every skip keeps its key and state
-            nxt = states.copy()
-            for used, state in states.items():
-                if not used & mask:
-                    key, state = used | mask, (state[0] + w, state[1] | pick)
-                    old = nxt.get(key)
-                    if old is None or state > old:
-                        nxt[key] = state
-        else:
-            nxt = {}
-            for used, state in states.items():
+        stays = keep == later[idx]  # no vertex leaves, so every skip keeps its key and state
+        nxt = states.copy() if stays else {}
+        for used, state in states.items():
+            if not stays:
                 key = used & keep
                 old = nxt.get(key)
                 if old is None or state > old:
                     nxt[key] = state
-                if not used & mask:
-                    key, state = (used | mask) & keep, (state[0] + w, state[1] | pick)
-                    old = nxt.get(key)
-                    if old is None or state > old:
-                        nxt[key] = state
+            if not used & mask:
+                key, state = (used | mask) & keep, (state[0] + w, state[1] | pick)
+                old = nxt.get(key)
+                if old is None or state > old:
+                    nxt[key] = state
         states = nxt
     value, chosen = states[0]  # later[m] is empty, so one state is left
     return value, tuple(e for i, e in enumerate(edges) if chosen >> (m - 1 - i) & 1)

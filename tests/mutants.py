@@ -348,18 +348,21 @@ MUTANTS = (
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
            "                if old is None or state > old:\n                    nxt[key] = state\n"
-           "                if not",
+           "            if not",
            "                if old is None or state[0] > old[0]:\n"
-           "                    nxt[key] = state\n                if not", ("test_oracle.py",)),
+           "                    nxt[key] = state\n            if not", ("test_oracle.py",)),
+    # not listed: stays = False, which rekeys every layer, is equivalent (only slower)
     Mutant("mwm.copy-layer-at-a-departure", "oracle.py",
-           "if keep == later[idx]:", "if True:", ("test_oracle.py",)),
+           "stays = keep == later[idx]", "stays = True", ("test_oracle.py",)),
+    Mutant("mwm.cap-unchecked", "oracle.py",
+           "    check_oracle_cap(snapshot.edges)\n    value", "    value", ("test_oracle.py",)),
     # exact_mcm's greedy leaf and its fallback to the dynamic program
     Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
            "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",
            ("test_oracle.py",)),
     Mutant("mcm.leaf-tests-one-end", "oracle.py",
            "if u not in used and v not in used:", "if v not in used:", ("test_oracle.py",)),
-    Mutant("mcm.cap-only-in-the-dp", "oracle.py",
+    Mutant("mcm.cap-unchecked", "oracle.py",
            "    check_oracle_cap(snapshot.edges)\n    unit", "    unit", ("test_oracle.py",)),
     Mutant("mcm.fallback-value-a-float", "oracle.py",
            "OracleResult(int(value), witness)", "OracleResult(value, witness)",

@@ -139,16 +139,21 @@ def test_mcm_monotone_under_edge_removal():
         assert sub <= full
 
 
-def test_capacity_cap_enforced():
+def test_capacity_cap_enforced(monkeypatch):
+    # both public searches refuse before any search: the dynamic program is
+    # replaced by one that fails if it runs
+    def refused(edges):
+        raise AssertionError(f"the search ran on {len(edges)} edges")
+
+    monkeypatch.setattr(oracle, "_mwm_frontier", refused)
     star = [(1, i, 1) for i in range(2, 27)]  # 25 edges
-    with pytest.raises(CapacityError):
-        exact_mwm(snap(26, star))
     # the disjoint edges' greedy leaf reaches floor(|V|/2), so only a cap
-    # check ahead of the leaf refuses them
+    # check ahead of the leaf refuses them in exact_mcm
     disjoint = [(2 * i - 1, 2 * i, 1) for i in range(1, 26)]
     for edges in (star, disjoint):
-        with pytest.raises(CapacityError, match="^25 edges exceed oracle cap 24$"):
-            exact_mcm(snap(50, edges))
+        for search in (exact_mwm, exact_mcm):
+            with pytest.raises(CapacityError, match="^25 edges exceed oracle cap 24$"):
+                search(snap(50, edges))
 
 
 def test_arboricity_examples():
