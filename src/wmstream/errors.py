@@ -36,8 +36,11 @@ class ParseError(WmStreamError):
 
 
 class StreamError(WmStreamError):
-    """A multiset violation: duplicate insert, delete of an
-    absent edge, or delete whose weight differs from the insert."""
+    """An update the stream rules refuse: a duplicate insert, a delete of an
+    absent edge or with a weight other than its insert's, a delete in an
+    insert-only stream, an op other than insert and delete, a self-loop or
+    a vertex outside 1..n in updates built in code, or an exact estimator's
+    delete at another top level than its insert."""
 
     exit_code = 2
 

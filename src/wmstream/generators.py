@@ -7,7 +7,7 @@ import math
 import random
 from array import array
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import ParameterError
 from .schedule import wmax_refusal
@@ -161,7 +161,7 @@ def generate(config: GenConfig) -> tuple[StreamHeader, list[StreamUpdate]]:
 
 def dynamify(
     header: StreamHeader,
-    updates: Sequence[StreamUpdate],
+    updates: Iterable[StreamUpdate],
     churn: float,
     seed: int,
 ) -> tuple[StreamHeader, list[StreamUpdate]]:
@@ -169,9 +169,11 @@ def dynamify(
     giving a churn fraction of edges a delete + re-insert pair at random later
     positions; when ``round(churn * m)`` is 0 it comes back unchanged and
     insert-only. The replayed final snapshot is unchanged. O(m log m) for m
-    updates. A delete, or an edge repeated in either orientation, is refused."""
+    updates. A delete, or an edge repeated in either orientation, is refused.
+    ``updates`` may be any iterable, parsed columns included."""
     if not (0.0 <= churn <= 1.0):
         raise ParameterError(f"churn must be in [0, 1], got {churn}")
+    updates = list(updates)
     if any(op != INSERT for op, _, _, _ in updates):
         raise ParameterError("dynamify input must be insertion-only")
     if len({(min(u, v), max(u, v)) for _, u, v, _ in updates}) < len(updates):
@@ -180,7 +182,7 @@ def dynamify(
     m = len(updates)
     k = round(churn * m)
     if k == 0:
-        return header, list(updates)
+        return header, updates
     rng = random.Random(seed)
 
     # The output is kept as the originals in order, each followed by the

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 from array import array
-from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import eq
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
@@ -53,13 +52,11 @@ class UpdateColumns:
     the smallest unsigned ``array`` that holds ``n``, or a list past
     2**64 - 1; ``w`` in an ``array("d")``; and the op as ``repeat(INSERT)``
     on an insert-only stream, or as a ``bytearray`` of ``_OPS`` codes on a
-    dynamic one. It reads as a sequence of ``StreamUpdate``: ``len``,
-    iteration, which builds each record from ``_plain_updates``' tuple as it
-    is reached, an index, which gives a record, and a slice, which gives a
-    list. It compares equal to any sequence of equal records. It has no
-    public method: the records it yields are its whole interface to library
-    callers and the benchmark. ``run`` and ``replay`` build no records: they
-    read the columns through ``_plain_updates``."""
+    dynamic one. It has a length and can be iterated any number of times,
+    each pass building a ``StreamUpdate`` per update from ``_plain_updates``'
+    tuple as it is reached; that is its whole interface to library callers
+    and the benchmark. ``run`` and ``replay`` build no records: they read
+    the columns through ``_plain_updates``."""
 
     __slots__ = ("_op", "_u", "_v", "_w")
 
@@ -72,21 +69,6 @@ class UpdateColumns:
 
     def __iter__(self) -> Iterator[StreamUpdate]:
         return map(tuple.__new__, repeat(StreamUpdate), _plain_updates(self))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        u, v, w = self._u[index], self._v[index], self._w[index]
-        op = _OPS[self._op[index]] if isinstance(self._op, bytearray) else INSERT
-        return StreamUpdate(op, u, v, w)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Sequence, UpdateColumns)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"UpdateColumns({list(self)!r})"
 
 
 def _plain_updates(updates: Iterable[StreamUpdate]) -> Iterator[tuple]:
@@ -145,11 +127,11 @@ def parse_stream(source: str | bytes | BinaryIO) -> tuple[StreamHeader, UpdateCo
     """Parse a stream into (header, updates) in one pass. ``source`` is the
     text, its UTF-8 bytes, or an open binary file, which is read in blocks of
     ``_BLOCK`` bytes so that only one block's lines are held beside the
-    updates. The updates are ``UpdateColumns``, typed columns that yield
-    ``StreamUpdate`` records as they are read. ``_checked_records`` checks
-    each update line against the header and then against the multiset
-    rules, so a multiset error on an earlier line is reported before a line
-    error on a later one. On an insert-only stream its repeat check runs
+    updates. The updates are ``UpdateColumns``: a length, and records built
+    as they are iterated, as often as asked. ``_checked_records`` checks each
+    update line against the header and then against the multiset rules, so
+    a multiset error on an earlier line is reported before a line error on
+    a later one. On an insert-only stream its repeat check runs
     after the pass, so a ParseError from the pass first has ``_live_edges``
     look for a repeat in the updates parsed so far. Each block is decoded
     just before its lines are read, so a line or multiset error in an
@@ -292,7 +274,7 @@ def n_refusal(n: int) -> str | None:
     return None if isinstance(n, int) and n >= 1 else f"n must be >= 1, got {n!r}"
 
 
-def replay(header: StreamHeader, updates: Sequence[StreamUpdate]) -> GraphSnapshot:
+def replay(header: StreamHeader, updates: Iterable[StreamUpdate]) -> GraphSnapshot:
     """Replay updates to the final graph, enforcing strict multiset rules and
     refusing a self-loop or a vertex outside 1..n, which only updates built
     in code can hold."""

@@ -327,7 +327,9 @@ MUTANTS = (
            ("test_estimators.py",)),
     Mutant("exact.no-ceiling-skip", "estimators.py",
            "if value < len(ends) // 2:", "if True:", ("test_estimators.py",)),
-    # dynamify's indexed placement
+    # dynamify's indexed placement, over its input listed once
+    Mutant("dynamify.input-not-listed", "generators.py",
+           "    updates = list(updates)\n", "", ("test_generators.py",)),
     Mutant("dynamify.gap-offset-one-over", "generators.py",
            "gaps[g].insert(j - before - 1, upd)", "gaps[g].insert(j - before, upd)",
            ("test_generators.py",)),

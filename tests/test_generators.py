@@ -9,6 +9,7 @@ from wmstream import (
     ParameterError,
     dynamify,
     generate,
+    parse_stream,
     replay,
     serialize,
 )
@@ -189,6 +190,17 @@ def test_dynamify_matches_the_list_search_reference(churn):
             assert dynamify(header, repeated, churn, seed) == dynamify_reference(
                 header, repeated, churn, seed
             )
+
+
+@pytest.mark.parametrize("churn", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_dynamify_takes_parsed_columns_as_their_list(churn, seed):
+    config = GenConfig(family="erdos-renyi", n=10, p=0.4, wmax=16.0, order="shuffled", seed=seed)
+    header, columns = parse_stream(serialize(*generate(config)))
+    out = dynamify(header, columns, churn, seed)
+    assert out == dynamify(header, list(columns), churn, seed)
+    assert out == dynamify(header, iter(list(columns)), churn, seed)
+    assert type(out[1]) is list and len(out[1]) == len(columns) + 2 * round(churn * len(columns))
 
 
 @pytest.mark.parametrize("churn", [0.0, 0.5, 1.0])
