@@ -17,8 +17,9 @@ from .errors import CapacityError, ParameterError, WeightRangeError
 # The schedule holds levels + 1 thresholds, and a run keeps a few objects per
 # level on top of them. A tiny epsilon or a huge wmax asks for billions of
 # levels, which would exhaust memory before the stream is read. 2^18 still
-# allows epsilon 1e-5 at wmax 4 (138,631 levels); at the cap a one-edge
-# `estimate` peaks near 530 MiB, most of it the JSON of its per-level report.
+# allows epsilon 1e-5 at wmax 4 (138,631 levels). At the cap a one-edge
+# `estimate` peaks at 81 MiB RSS with greedy and 73 MiB with exact (Python
+# 3.11, 2 vCPU), its 45 MB per-level report written one level at a time.
 MAX_LEVELS = 1 << 18
 
 

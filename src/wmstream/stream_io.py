@@ -131,11 +131,12 @@ def parse_stream(source: str | bytes | BinaryIO) -> tuple[StreamHeader, UpdateCo
     as they are iterated, as often as asked. ``_checked_records`` checks each
     update line against the header and then against the multiset rules, so
     a multiset error on an earlier line is reported before a line error on
-    a later one. On an insert-only stream its repeat check runs
-    after the pass, so a ParseError from the pass first has ``_live_edges``
-    look for a repeat in the updates parsed so far. Each block is decoded
-    just before its lines are read, so a line or multiset error in an
-    earlier block is reported before a non-UTF-8 byte in a later one."""
+    a later one. On both models the parse detects a multiset fault and
+    ``_live_edges`` words it. An insert-only repeat check runs after the
+    pass, so a ParseError from the pass first has ``_live_edges`` look for
+    a repeat in the updates parsed so far. Each block is decoded just
+    before its lines are read, so a line or multiset error in an earlier
+    block is reported before a non-UTF-8 byte in a later one."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, _text_pieces(source))), 1)
     for lineno, raw in lines:  # blank and comment lines as in _checked_records
         parts = raw.split()
@@ -183,24 +184,28 @@ def _checked_records(
     comparison. Every value appended has passed its checks, so it fits its
     column.
 
-    The multiset rules are ``_live_edges``' in its words, on pairs that the
-    line rules have already bounded to 1..n and u != v, keyed by the same
-    packed ``u*(n+1)+v``; their errors carry no line number. A dynamic
-    stream meets them inline in ``present``, where a delete finds its
-    insert's weight. An insert-only stream's one rule is that no pair
-    repeats: its keys go to 251 buckets by ``key % 251``, each a column as
-    ``_column`` makes them, so equal keys share a bucket. After the pass
-    each bucket is sorted on its own, small enough to stay in cache, and
-    scanned for two equal neighbours; only on a repeat does ``_live_edges``
-    run over the records, to raise the first in stream order. A prime
-    count spreads the keys whenever either endpoint varies, unless n+1 is
-    a multiple of 251 and the larger endpoint is fixed; by the low bits,
-    a star on vertex n would fill one bucket whenever n+1 is a power of
-    two. Keys that do share one bucket cost one sort of them all."""
+    The multiset rules are ``_live_edges``', on pairs that the line rules
+    have already bounded to 1..n and u != v, keyed by the same packed
+    ``u*(n+1)+v``. The loop only detects a fault; ``_live_edges``, run over
+    the records, words it, with no line number. A dynamic stream meets the
+    rules inline in ``present``, where a delete finds its insert's weight;
+    a faulty line is appended before ``_live_edges`` runs, and every
+    earlier line passed, so it raises this line's fault. An insert-only
+    stream's one rule is that no pair repeats: its keys go to 251 buckets
+    by ``key % 251``, each a column as ``_column`` makes them, so equal
+    keys share a bucket. After the pass each bucket is sorted on its own,
+    small enough to stay in cache, and scanned for two equal neighbours;
+    only on a repeat does ``_live_edges`` run over the records, to raise
+    the first in stream order. A prime count spreads the keys whenever
+    either endpoint varies, unless n+1 is a multiple of 251 and the larger
+    endpoint is fixed; by the low bits, a star on vertex n would fill one
+    bucket whenever n+1 is a power of two. Keys that do share one bucket
+    cost one sort of them all."""
     n, wmax, insert_only = header.n, header.wmax, header.model == INSERT_ONLY
     size = n + 1
     present: dict[int, float] = {}
     popped = present.pop
+    fault = False
     buckets = [_column(n * size) for _ in range(251 if insert_only else 0)]
     into = [bucket.append for bucket in buckets]
     put_u, put_v, put_w = records._u.append, records._v.append, records._w.append
@@ -225,27 +230,20 @@ def _checked_records(
         if not 1.0 <= w <= wmax:
             raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
         key = u * size + v if u < v else v * size + u
-        if op == INSERT:
-            if insert_only:
-                into[key % 251](key)
-            elif key in present:
-                raise StreamError(f"duplicate insert of edge {divmod(key, size)}")
-            else:
-                present[key] = w
-                mark(1)
+        if insert_only:
+            into[key % 251](key)
+        elif op == INSERT:
+            fault = key in present
+            present[key] = w
+            mark(1)
         else:
-            inserted = popped(key, None)
-            if inserted is None:
-                raise StreamError(f"delete of absent edge {divmod(key, size)}")
-            if inserted != w:
-                raise StreamError(
-                    f"delete weight {w} != inserted weight {inserted} "
-                    f"for edge {divmod(key, size)}"
-                )
+            fault = popped(key, None) != w
             mark(0)
         put_u(u)
         put_v(v)
         put_w(w)
+        if fault:  # every earlier line passed, so this raises this line's fault
+            _live_edges(header, records)
     for keys in map(sorted, buckets):
         if any(map(eq, keys, islice(keys, 1, None))):
             _live_edges(header, records)
@@ -288,11 +286,10 @@ def replay(header: StreamHeader, updates: Iterable[StreamUpdate]) -> GraphSnapsh
 def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
     """Live edges after the updates, keyed by ``u*(n+1)+v`` with u < v and
     mapped to the weight; strict multiset rules for updates built in code,
-    which ``replay`` gets. Parsed lines of a dynamic stream meet the same
-    rules, in the same words, inline in ``_checked_records``, and a parity
-    test holds the two to one text. An insert-only parse that finds a
-    repeated pair, or that fails on a line, runs this over the columns it
-    built, so the first repeat in stream order is raised in these words.
+    which ``replay`` gets, and the one home of their words. A parse that
+    detects a multiset fault, or an insert-only parse that fails on a
+    line, runs this over the columns it built, so the fault, or the first
+    repeat in stream order, is raised in these words.
     ``updates`` is consumed once, in order, as ``_plain_updates`` yields
     it, so parsed columns build no records here. Each update's pair is
     checked before it is packed, so that no bad id can alias another

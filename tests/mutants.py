@@ -115,19 +115,26 @@ MUTANTS = (
     Mutant("plain.replay-reads-the-records", "stream_io.py",
            "for op, u, v, w in _plain_updates(updates):", "for op, u, v, w in updates:",
            ("test_bench_interface.py",)),
-    # the multiset rules in their two homes: inline in the parse's loop, and
-    # in _live_edges for replay
-    Mutant("multiset.parse.weight-mismatch-unchecked", "stream_io.py",
-           "            if inserted != w:\n                raise StreamError(\n"
-           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
-           "                    f\"for edge {divmod",
-           "            if False:\n                raise StreamError(\n"
-           "                    f\"delete weight {w} != inserted weight {inserted} \"\n"
-           "                    f\"for edge {divmod", ("test_stream_io.py",)),
-    Mutant("multiset.parse.duplicate-insert-accepted", "stream_io.py",
-           "if key in present:\n                raise StreamError(f\"duplicate insert of edge {divmod",
-           "if False:\n                raise StreamError(f\"duplicate insert of edge {divmod",
+    # the multiset rules: detected inline in the parse's loop, and worded by
+    # _live_edges alone, which the parse runs over its records on a fault
+    Mutant("multiset.parse.dynamic-duplicate-undetected", "stream_io.py",
+           "fault = key in present", "fault = False", ("test_stream_io.py",)),
+    Mutant("multiset.parse.delete-fault-undetected", "stream_io.py",
+           "fault = popped(key, None) != w", "popped(key, None)\n            fault = False",
            ("test_stream_io.py",)),
+    Mutant("multiset.parse.delete-weight-undetected", "stream_io.py",
+           "fault = popped(key, None) != w", "fault = popped(key, None) is None",
+           ("test_stream_io.py",)),
+    Mutant("multiset.parse.fault-worded-before-its-line-is-appended", "stream_io.py",
+           "        put_u(u)\n        put_v(v)\n        put_w(w)\n"
+           "        if fault:  # every earlier line passed, so this raises this line's fault\n"
+           "            _live_edges(header, records)\n",
+           "        if fault:\n            _live_edges(header, records)\n"
+           "        put_u(u)\n        put_v(v)\n        put_w(w)\n", ("test_stream_io.py",)),
+    Mutant("multiset.parse.dynamic-parse-worded-after-the-pass", "stream_io.py",
+           "    for keys in map(sorted, buckets):\n",
+           "    if not insert_only:\n        _live_edges(header, records)\n"
+           "    for keys in map(sorted, buckets):\n", ("test_stream_io.py",)),
     Mutant("multiset.parse.absent-delete-accepted", "stream_io.py",
            "popped(key, None)", "popped(key, w)", ("test_stream_io.py",)),
     Mutant("multiset.parse.delete-gets-and-keeps", "stream_io.py",
@@ -151,8 +158,9 @@ MUTANTS = (
     Mutant("multiset.parse.insert-only-keys-compared-two-apart", "stream_io.py",
            "islice(keys, 1, None)", "islice(keys, 2, None)", ("test_stream_io.py",)),
     Mutant("multiset.parse.insert-only-keys-in-the-dict", "stream_io.py",
-           "if insert_only:\n                into[key % 251](key)",
-           "if False:\n                into[key % 251](key)", ("test_stream_io.py",)),
+           "            into[key % 251](key)\n",
+           "            fault = key in present\n            present[key] = w\n",
+           ("test_stream_io.py",)),
     Mutant("multiset.parse.repeat-unchecked-before-a-parse-error", "stream_io.py",
            "        if header.model == INSERT_ONLY:  # a repeat on an earlier line wins\n"
            "            _live_edges(header, records)\n", "", ("test_stream_io.py",)),

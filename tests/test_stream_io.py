@@ -220,6 +220,28 @@ def test_the_parse_makes_no_python_call_per_update_line():
     assert small == large
 
 
+@pytest.mark.parametrize("model, lines, message", [
+    (INSERT_ONLY, ["+ 1 2 3", "+ 3 2 1", "+ 4 1 2"], None),
+    (DYNAMIC, ["+ 1 2 3", "- 2 1 3", "+ 1 2 2", "+ 3 4 1", "- 4 3 1"], None),
+    (DYNAMIC, ["+ 1 2 3", "+ 3 4 1", "+ 2 1 3", "+ 1 4 1"], "duplicate insert of edge (1, 2)"),
+    (DYNAMIC, ["+ 1 2 3", "- 2 1 3", "- 1 2 3", "+ 1 4 1"], "delete of absent edge (1, 2)"),
+    (DYNAMIC, ["+ 1 2 3", "+ 3 4 1", "- 2 1 2", "+ 1 4 1"],
+     "delete weight 2.0 != inserted weight 3.0 for edge (1, 2)"),
+    (INSERT_ONLY, ["+ 1 2 3", "+ 3 4 1", "+ 2 1 3", "+ 1 4 1"], "duplicate insert of edge (1, 2)"),
+])
+def test_only_a_multiset_fault_has_the_parse_run_live_edges(model, lines, message):
+    # the parse detects a fault and _live_edges words it: a valid stream is
+    # never read a second time, and a faulty one once, whose words it raises
+    text = f"n 4 wmax 4 model {model}\n" + "".join(f"{line}\n" for line in lines)
+    raised = None
+    with mock.patch.object(stream_io, "_live_edges", wraps=stream_io._live_edges) as spy:
+        try:
+            parse_stream(text)
+        except StreamError as exc:
+            raised = str(exc)
+    assert (raised, spy.call_count) == (message, 0 if message is None else 1)
+
+
 def test_replay_reinsert_after_delete():
     header = StreamHeader(2, 4.0, DYNAMIC)
     updates = [
