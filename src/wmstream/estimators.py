@@ -83,16 +83,20 @@ def _refusal(est, u: int, v: int, top: int) -> WmStreamError:
 
 def _bit_counts(masks, width: int) -> list[int]:
     """For each bit position below ``width``, how many masks have it set.
-    Each mask is a little-endian row of ``size`` bytes; byte column j of the
-    rows, read as one int, holds byte j of every mask, so bit i of every
-    mask is bit i & 7 of each byte of column i >> 3, counted by one
+    Each mask is a little-endian row of ``size`` bytes, appended to one
+    buffer; byte column j of the rows, read as one int, holds byte j of
+    every mask, so bit b of that byte in every mask is counted by one
     popcount. Zero masks count nothing and are left out, which bounds the
-    rows by the matched vertices rather than by n."""
+    rows by the matched vertices rather than by n. The columns are read one
+    at a time, so the temporary memory is the buffer (``size`` bytes per
+    matched vertex) plus a few ints the size of one column."""
     size = (width + 7) // 8
-    rows = b"".join(m.to_bytes(size, "little") for m in masks if m)
-    columns = [int.from_bytes(rows[j::size], "little") for j in range(size)]
+    rows = bytearray()
+    for m in filter(None, masks):
+        rows += m.to_bytes(size, "little")
     ones = int.from_bytes(b"\1" * (len(rows) // size), "little")  # bit 0 of each row
-    return [(columns[i >> 3] >> (i & 7) & ones).bit_count() for i in range(width)]
+    columns = (int.from_bytes(rows[j::size], "little") for j in range(size))
+    return [(column >> b & ones).bit_count() for column in columns for b in range(8)][:width]
 
 
 class ExactOfflineEstimator:

@@ -306,10 +306,14 @@ MUTANTS = (
            "(n * (n - 1) // 2).bit_length() + 1", "(n * (n - 1) // 2).bit_length()",
            ("test_estimators.py",)),
     Mutant("greedy.bit-counts-wrong-bit", "estimators.py",
-           "(columns[i >> 3] >> (i & 7) & ones)", "(columns[i >> 3] >> (i % 7) & ones)",
-           ("test_estimators.py",)),
+           "(column >> b & ones)", "(column >> b % 7 & ones)", ("test_estimators.py",)),
     Mutant("greedy.bit-counts-keep-zero-masks", "estimators.py",
-           'for m in masks if m)', 'for m in masks)', ("test_estimators.py",)),
+           "for m in filter(None, masks):", "for m in masks:", ("test_estimators.py",)),
+    Mutant("greedy.bit-counts-rows-as-a-list", "estimators.py",
+           '    rows = bytearray()\n    for m in filter(None, masks):\n'
+           '        rows += m.to_bytes(size, "little")\n',
+           '    rows = b"".join(m.to_bytes(size, "little") for m in filter(None, masks))\n',
+           ("test_estimators.py",)),
     Mutant("greedy.one-level-short", "estimators.py",
            "new = ((2 << top) - 1)", "new = ((1 << top) - 1)", ("test_estimators.py",)),
     Mutant("exact.words-without-the-gap", "estimators.py",
