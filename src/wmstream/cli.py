@@ -65,11 +65,6 @@ def cmd_oracle(args) -> int:
 
 # Each GenConfig field is a `gen` flag and a suite key of the same name.
 _GEN_TYPES = typing.get_type_hints(generators.GenConfig)
-_GEN_CHOICES = {
-    "family": generators.FAMILIES,
-    "weights": generators.WEIGHT_DISTS,
-    "order": generators.ORDERS,
-}
 
 
 def cmd_gen(args) -> int:
@@ -232,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = generators.GenConfig._field_defaults
     for name, kind in _GEN_TYPES.items():
         kw = {"default": defaults[name]} if name in defaults else {"required": True}
-        p_gen.add_argument(f"--{name}", type=kind, choices=_GEN_CHOICES.get(name), **kw)
+        p_gen.add_argument(f"--{name}", type=kind, choices=generators.CHOICES.get(name), **kw)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 

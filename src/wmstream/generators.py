@@ -124,18 +124,17 @@ _ORDERS = {
     "heavy-first": lambda updates, rng: updates.sort(key=lambda upd: (-upd[3], upd[1], upd[2])),
     "light-first": lambda updates, rng: updates.sort(key=lambda upd: (upd[3], upd[1], upd[2])),
 }
-FAMILIES = tuple(_FAMILIES)
-WEIGHT_DISTS = tuple(_WEIGHT_LAWS)
-ORDERS = tuple(_ORDERS)
+# GenConfig's name fields in the order _validate checks them, each with the
+# noun its refusal uses and its table; CHOICES lists each table's names for gen
+_REGISTRY = {"family": ("family", _FAMILIES), "weights": ("weight distribution", _WEIGHT_LAWS),
+             "order": ("order", _ORDERS)}
+CHOICES = {field: tuple(table) for field, (_, table) in _REGISTRY.items()}
 
 
 def _validate(config: GenConfig) -> None:
-    if config.family not in _FAMILIES:
-        raise ParameterError(f"unknown family {config.family!r}")
-    if config.weights not in _WEIGHT_LAWS:
-        raise ParameterError(f"unknown weight distribution {config.weights!r}")
-    if config.order not in _ORDERS:
-        raise ParameterError(f"unknown order {config.order!r}")
+    for field, (noun, table) in _REGISTRY.items():
+        if (name := getattr(config, field)) not in table:
+            raise ParameterError(f"unknown {noun} {name!r}")
     for check in _FAMILIES[config.family][2:]:
         if refusal := check(config):
             raise ParameterError(refusal)

@@ -26,8 +26,8 @@ from .oracle import check_oracle_cap, exact_mcm, exact_mwm
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate, _plain_updates
 
-# Relative slack of the checks that compare float sums, whose rounding
-# depends on the order in which they were added.
+# Relative slack of check_sandwich and check_lemma2, which compare float sums
+# added in other orders than the combine's.
 REL_SLACK = 1e-9
 
 
@@ -125,8 +125,9 @@ def check_lemma1(report: RunReport) -> bool:
 
 
 def check_observations(report: RunReport) -> bool:
-    """b is the exact suffix sum of delta; a the threshold-weighted suffix
-    sum within a relative slack of REL_SLACK."""
+    """b is the suffix sum of delta and a the threshold-weighted suffix sum,
+    each equal to the sum recomputed as ``combine`` adds it: the same
+    products in the same order, so a report from ``run`` matches exactly."""
     thresholds = report.schedule.thresholds
     b_sum = 0
     a_sum = 0.0
@@ -135,7 +136,7 @@ def check_observations(report: RunReport) -> bool:
         a_sum += thresholds[st.level] * st.delta_count
         if st.b != b_sum:
             return False
-        if abs(st.a - a_sum) > REL_SLACK * max(1.0, abs(a_sum)):
+        if st.a != a_sum:
             return False
     return True
 

@@ -105,6 +105,18 @@ def test_oracle_modes(tmp_path, capsys):
     assert "invalid choice: 'arboricity'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["family", "weights", "order"])
+def test_gen_refuses_an_unknown_name_with_the_registrys_choices(capsys, field):
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the choice
+        main(["gen", "--family", "grid", f"--{field}", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    _, found, listed = err.partition(f"argument --{field}: invalid choice: 'bogus' (choose from ")
+    assert found and listed.endswith(")\n")
+    # newer interpreters list the names unquoted
+    assert [name.strip("'") for name in listed[:-2].split(", ")] == list(generators.CHOICES[field])
+
+
 @pytest.mark.parametrize("wmax,epsilon", [("4", "1e-7"), ("4", "1e-17"), ("1e308", "0.001")])
 def test_estimate_refuses_a_schedule_over_max_levels(tmp_path, capsys, wmax, epsilon):
     path = tmp_path / "one.stream"
@@ -572,11 +584,11 @@ def test_an_estimate_flag_value_exits_with_a_documented_code_and_one_line(
 GEN_TYPES = typing.get_type_hints(GenConfig)
 # each GenConfig field's values in a config that gen accepts, small enough
 # that the O(n**2) families stay fast
-GEN_VALID = {"family": st.sampled_from(generators.FAMILIES), "n": st.integers(1, 9),
+GEN_VALID = {"family": st.sampled_from(generators.CHOICES["family"]), "n": st.integers(1, 9),
              "rows": st.integers(1, 4), "cols": st.integers(1, 4), "nu": st.integers(1, 3),
-             "p": st.floats(0.0, 1.0), "weights": st.sampled_from(generators.WEIGHT_DISTS),
+             "p": st.floats(0.0, 1.0), "weights": st.sampled_from(generators.CHOICES["weights"]),
              "wmax": st.floats(1.0, 1e6), "alpha": st.floats(0.01, 10.0),
-             "order": st.sampled_from(generators.ORDERS), "churn": st.floats(0.0, 1.0),
+             "order": st.sampled_from(generators.CHOICES["order"]), "churn": st.floats(0.0, 1.0),
              "seed": st.integers()}
 GEN_WILD = {float: _any_float_or(st.nothing()), int: st.integers(max_value=9)}
 

@@ -1,9 +1,10 @@
+import math
 import random
 import tracemalloc
 
 import pytest
 
-from helpers import arboricity, dynamify_reference
+from helpers import arboricity, dynamify_reference, python_calls
 from wmstream import (
     GenConfig,
     ParameterError,
@@ -13,6 +14,7 @@ from wmstream import (
     replay,
     serialize,
 )
+from wmstream.generators import CHOICES
 from wmstream.stream_io import DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate
 
 
@@ -106,8 +108,6 @@ def test_generate_deterministic_per_seed():
 
 def test_generate_rejects_bad_config():
     with pytest.raises(ParameterError):
-        generate(GenConfig(family="mystery", n=5))
-    with pytest.raises(ParameterError):
         generate(GenConfig(family="erdos-renyi", n=5, p=1.5))
     with pytest.raises(ParameterError):
         generate(GenConfig(family="forest-union", n=0))
@@ -116,6 +116,26 @@ def test_generate_rejects_bad_config():
                 {"weights": "powerlaw", "alpha": float("inf")}):
         with pytest.raises(ParameterError):
             generate(GenConfig(family="grid", rows=2, cols=2, **bad))
+
+
+@pytest.mark.parametrize("names, message", [
+    ({"family": "mystery"}, "unknown family 'mystery'"),
+    ({"weights": "mystery"}, "unknown weight distribution 'mystery'"),
+    ({"order": "mystery"}, "unknown order 'mystery'"),
+    # two unknown names: the first field in the registry's order is refused
+    ({"family": "f", "weights": "w"}, "unknown family 'f'"),
+    ({"weights": "w", "order": "o"}, "unknown weight distribution 'w'"),
+])
+def test_generate_refuses_an_unknown_name_in_its_fields_words(names, message):
+    with pytest.raises(ParameterError) as exc:
+        generate(GenConfig(**{"family": "grid", "rows": 2, "cols": 2, **names}))
+    assert str(exc.value) == message
+
+
+def test_generate_accepts_every_name_the_registry_lists():
+    for field, names in CHOICES.items():
+        for name in names:
+            generate(GenConfig(**{"family": "grid", "n": 3, "rows": 2, "cols": 2, field: name}))
 
 
 def test_powerlaw_draw_beyond_float_range_is_capped_at_wmax():
@@ -226,3 +246,39 @@ def test_dynamify_rejects_dynamic_input():
     ]
     with pytest.raises(ParameterError):
         dynamify(header, updates, 0.5, 1)
+
+
+# --- growth: Python calls at two sizes k ------------------------------------
+
+
+def _path(k):
+    """An insert-only path of k edges, built outside the profile."""
+    return StreamHeader(k + 1, 1.0, INSERT_ONLY), [
+        StreamUpdate(INSERT, v, v + 1, 1.0) for v in range(1, k + 1)]
+
+
+# Each generator path as (row, its call at size k, two sizes, the exponent of
+# k that its Python call count grows by, why). cProfile's count is exact, so
+# log(calls ratio) / log(k ratio) lands within 0.1 of the exponent at these
+# sizes. Only the two families below are quadratic, and on purpose: faster
+# algorithms would change their streams per seed, so they would come as new
+# families. A third quadratic path fails its linear row.
+GENERATOR_GROWTH = [
+    ("grid", lambda k: (generate, GenConfig("grid", rows=2, cols=k)), (500, 4000), 1,
+     "2k vertices, 3k - 2 edges and one weight draw per edge"),
+    ("dynamify churn 0.5", lambda k: (dynamify, *_path(k), 0.5, 1), (500, 4000), 1,
+     "k/2 churned edges, each placed twice by a Fenwick search that makes no call"),
+    ("forest-union", lambda k: (generate, GenConfig("forest-union", n=k)), (100, 400), 2,
+     "quadratic by design: each spanning tree shuffles all k(k-1)/2 pairs"),
+    ("erdos-renyi", lambda k: (generate, GenConfig("erdos-renyi", n=k, p=0.1)), (100, 400), 2,
+     "quadratic by design: one coin per pair, and at a fixed p the 0.1 k(k-1)/2 "
+     "edges each draw a weight (the coins are C calls, which cProfile files as builtins)"),
+]
+
+
+@pytest.mark.parametrize("row, call, sizes, exponent, why", GENERATOR_GROWTH,
+                         ids=[row[0] for row in GENERATOR_GROWTH])
+def test_generator_calls_grow_as_the_table_states(row, call, sizes, exponent, why):
+    small, large = (python_calls(*call(k)) for k in sizes)
+    growth = math.log(large / small) / math.log(sizes[1] / sizes[0])
+    assert abs(growth - exponent) < 0.1, (row, why, small, large)

@@ -546,5 +546,7 @@ def test_check_observations_rejects_a_wrong_b_and_a_wrong_a_on_their_own():
     top, mid, low = report.levels
     wrong_b = mid._replace(b=mid.b + 1)  # a still the weighted suffix sum
     wrong_a = mid._replace(a=mid.a * 2 + 1.0)  # b still the suffix sum
+    ulp_off = mid._replace(a=math.nextafter(mid.a, math.inf))  # a compared exactly
     assert not check_observations(report._replace(levels=(top, wrong_b, low)))
     assert not check_observations(report._replace(levels=(top, wrong_a, low)))
+    assert not check_observations(report._replace(levels=(top, ulp_off, low)))
