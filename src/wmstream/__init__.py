@@ -13,7 +13,6 @@ from .errors import (
     ParameterError,
     ParseError,
     StreamError,
-    WeightRangeError,
     WmStreamError,
 )
 from .estimators import ESTIMATORS, McmEstimate, make_estimator

@@ -2,8 +2,7 @@
 
 Each class carries the CLI exit code for its errors in ``exit_code``: 1 for
 the base class, 2 for parse, parameter and stream errors, 3 for capability
-errors, 4 for capacity errors and 5 for invariant failures. A subclass
-inherits its base's code.
+errors, 4 for capacity errors and 5 for invariant failures.
 """
 
 
@@ -17,10 +16,6 @@ class ParameterError(WmStreamError):
     """A parameter is non-finite, out of range, or otherwise invalid."""
 
     exit_code = 2
-
-
-class WeightRangeError(ParameterError):
-    """An edge weight falls outside the declared [1, wmax] range."""
 
 
 class ParseError(WmStreamError):
@@ -54,9 +49,10 @@ class CapabilityError(WmStreamError):
 class CapacityError(WmStreamError):
     """An instance exceeds a size cap: the exhaustive oracle's, the level
     schedule's (``schedule.MAX_LEVELS``), a vertex count ``n`` too large
-    for the greedy estimator's per-vertex list, or the float range (a top
-    threshold in ``build_schedule``, an estimate in ``combine``, a matching
-    weight in ``exact_mwm``)."""
+    for the greedy estimator's per-vertex list or, from 2**32 on, for
+    forest-union's packed pairs, or the float range (a top threshold in
+    ``build_schedule``, an estimate in ``combine``, a matching weight in
+    ``exact_mwm``)."""
 
     exit_code = 4
 

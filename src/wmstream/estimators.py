@@ -182,8 +182,10 @@ ESTIMATORS = {EXACT_OFFLINE: ExactOfflineEstimator, GREEDY: GreedyEstimator}
 
 
 def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: int = 0):
-    """Instantiate a fresh estimator for levels 0..levels, refusing capability
-    mismatches and bad parameters (both estimators ignore delta_prime)."""
+    """Instantiate a fresh estimator for levels 0..levels, refusing an unknown
+    kind, a capability mismatch and a bad n. ``delta_prime`` is unread, as
+    both estimators are deterministic; it keeps its positional slot for
+    callers that pass it, and ``run`` checks the delta it comes from."""
     cls = ESTIMATORS.get(kind)
     if cls is None:
         raise ParameterError(f"unknown estimator kind {kind!r}")
@@ -191,6 +193,4 @@ def make_estimator(kind: str, n: int, delta_prime: float, model: str, levels: in
         raise CapabilityError(f"{kind} estimator does not support dynamic streams")
     if refusal := n_refusal(n):
         raise ParameterError(refusal)
-    if not (0.0 < delta_prime < 1.0):
-        raise ParameterError(f"delta_prime must be in (0, 1), got {delta_prime}")
     return cls(n, levels)

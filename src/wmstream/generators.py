@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .schedule import wmax_refusal
-from .stream_io import DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate, n_refusal
+from .stream_io import (DELETE, DYNAMIC, INSERT, INSERT_ONLY, StreamHeader, StreamUpdate, _column,
+                        n_refusal)
 
 
 class GenConfig(NamedTuple):
@@ -39,8 +39,13 @@ class GenConfig(NamedTuple):
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     # Kruskal on a random permutation of the complete graph's pairs u < v,
-    # packed as u*(n+1)+v: 8 bytes a pair, and shuffle draws by length alone
-    keys = array("Q", (u * (n + 1) + v for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    # packed as u*(n+1)+v < n*(n+2) in _column's narrowest typecode: 1, 2, 4 or 8
+    # bytes a pair for n below 2**4, 2**8, 2**16 or 2**32, a list (refused) past
+    # that; shuffle draws by length alone
+    keys = _column(n * (n + 2))
+    if isinstance(keys, list):
+        raise CapacityError(f"n = {n} is too large for forest-union")
+    keys.extend(u * (n + 1) + v for u in range(1, n + 1) for v in range(u + 1, n + 1))
     rng.shuffle(keys)
     parent = list(range(n + 1))
 

@@ -106,7 +106,7 @@ def run(
     update, thresholds, wmax = est.update, schedule.thresholds, schedule.wmax
     for op, u, v, w in _plain_updates(updates):
         if not 1.0 <= w <= wmax:
-            top_level(schedule, w)  # raises its WeightRangeError
+            top_level(schedule, w)  # raises its ParameterError
         update(op, u, v, bisect_right(thresholds, w) - 1)
     # McmEstimate(value, words_stored) per level, unzipped so they go before combine
     s_hats, level_words = zip(*est.finalize())

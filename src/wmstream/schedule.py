@@ -12,7 +12,7 @@ from bisect import bisect_right
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .errors import CapacityError, ParameterError, WeightRangeError
+from .errors import CapacityError, ParameterError
 
 # The schedule holds levels + 1 thresholds, and a run keeps a few objects per
 # level on top of them. A tiny epsilon or a huge wmax asks for billions of
@@ -84,7 +84,5 @@ def top_level(schedule: LevelSchedule, w: float) -> int:
     fails every comparison.
     """
     if not 1.0 <= w <= schedule.wmax:
-        raise WeightRangeError(
-            f"weight {w} outside [1, {schedule.wmax}]"
-        )
+        raise ParameterError(f"weight {w} outside [1, {schedule.wmax}]")
     return bisect_right(schedule.thresholds, w) - 1

@@ -5,6 +5,7 @@ import cProfile
 import gc
 import pstats
 import random
+import tracemalloc
 from math import ceil
 
 from wmstream import (
@@ -281,6 +282,16 @@ def python_calls(fn, *args):
         (gc.enable if was else gc.disable)()
     return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
                if path != "~")
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- the per-line checker before the parse held typed columns ---------------

@@ -219,6 +219,11 @@ MUTANTS = (
            ("test_estimators.py",)),
     Mutant("rules.edge-order-swap-dropped-in-update", "estimators.py",
            "    if u > v:\n        u, v = v, u\n", "", ("test_estimators.py",)),
+    Mutant("rules.delta-prime-checked-again", "estimators.py",
+           "    return cls(n, levels)\n",
+           "    if not (0.0 < delta_prime < 1.0):\n"
+           "        raise ParameterError(f\"delta_prime must be in (0, 1), got {delta_prime}\")\n"
+           "    return cls(n, levels)\n", ("test_cli.py",)),
     # the three overflow refusals
     Mutant("schedule.overflowed-threshold-kept", "schedule.py",
            "if top == math.inf:", "if False:", ("test_schedule.py",)),
@@ -371,6 +376,15 @@ MUTANTS = (
     Mutant("forest.duplicates-kept", "generators.py",
            "list(dict.fromkeys(chain.from_iterable(trees)))", "list(chain.from_iterable(trees))",
            ("test_generators.py",)),
+    # forest-union's packed pairs: the narrowest column, refused past 64 bits;
+    # a dropped refusal only fills memory, so only a capped child sees it
+    Mutant("forest.keys-in-8-bytes", "generators.py",
+           "keys = _column(n * (n + 2))", 'keys = __import__("array").array("Q")',
+           ("test_generators.py",)),
+    Mutant("forest.refusal-dropped", "generators.py",
+           "    if isinstance(keys, list):\n"
+           "        raise CapacityError(f\"n = {n} is too large for forest-union\")\n", "",
+           ("test_cli.py",)),
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
            "                if old is None or state > old:\n                    nxt[key] = state\n"

@@ -177,6 +177,53 @@ def test_greedy_on_a_vertex_count_it_cannot_allocate_exits_4(tmp_path, n):
                  "--estimator", "greedy"]) == 4
 
 
+def test_estimate_accepts_a_delta_whose_delta_prime_underflows(capsys):
+    # run is the one check of delta: 5e-324 is in (0, 1), and no estimator
+    # reads its delta / (T + 1), which rounds to 0.0
+    stream = Path(__file__).parent / "golden" / "grid4x4.stream"
+    assert main(["estimate", "--stream", str(stream), "--epsilon", "0.1",
+                 "--delta", "5e-324"]) == 0
+    captured = capsys.readouterr()
+    assert '"delta_prime": 0.0,' in captured.out and captured.err == ""
+
+
+# A refusal of a size that no memory holds runs in a child whose address space
+# is capped, so that a missing refusal ends the child with a MemoryError (exit
+# 1) within seconds instead of filling the machine's memory.
+CAPPED_MAIN = ("import resource, sys\n"
+               "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+               "from wmstream.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+
+
+def _capped_main(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(wmstream.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("n", [2**32, 2**64 - 4, 2**64])
+def test_gen_refuses_a_forest_union_whose_pairs_pass_64_bits(tmp_path, n):
+    out = tmp_path / "gen.stream"
+    child = _capped_main(["gen", "--family", "forest-union", "--n", n, "--out", out])
+    assert (child.returncode, child.stdout, child.stderr) == (
+        4, "", f"wmstream: n = {n} is too large for forest-union\n")
+    assert not out.exists()
+
+
+def test_eval_writes_a_forest_union_row_past_64_bit_pairs_as_a_capacity_error(tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n\n"
+                     f"family=forest-union\nn={2**32}\nestimator=exact\n")
+    out = tmp_path / "rows.csv"
+    child = _capped_main(["eval", "--suite", suite, "--out", out])
+    assert child.returncode == 4 and child.stderr.count("\n") == 1
+    rows = csv.DictReader(line for line in out.read_text().splitlines()
+                          if not line.startswith("#"))
+    assert [row["status"] for row in rows] == ["ok", "error:CapacityError"]
+
+
 def test_gen_writes_parseable_stream(tmp_path, capsys):
     out = tmp_path / "gen.stream"
     code = main(["gen", "--family", "grid", "--rows", "3", "--cols", "3",

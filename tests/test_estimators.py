@@ -55,13 +55,6 @@ def test_make_estimator_rejects_empty_vertex_set(kind):
         make_estimator(kind, 0, 0.05, INSERT_ONLY)
 
 
-@pytest.mark.parametrize("kind", [EXACT_OFFLINE, GREEDY])
-@pytest.mark.parametrize("delta_prime", [0.0, 1.0])
-def test_make_estimator_rejects_delta_prime_outside_0_1(kind, delta_prime):
-    with pytest.raises(ParameterError):
-        make_estimator(kind, 10, delta_prime, INSERT_ONLY)
-
-
 def test_every_estimator_declares_lambda_at_least_1():
     # the sandwich bound 2*lambda*(1+eps) and lemma 2 assume lambda >= 1
     assert all(cls.LAM >= 1.0 for cls in ESTIMATORS.values())

@@ -1,10 +1,9 @@
 import math
 import random
-import tracemalloc
 
 import pytest
 
-from helpers import arboricity, dynamify_reference, python_calls
+from helpers import arboricity, dynamify_reference, python_calls, traced_peak
 from wmstream import (
     GenConfig,
     ParameterError,
@@ -42,13 +41,7 @@ def test_forest_union_respects_arboricity_bound(nu, seed):
 
 def test_forest_union_holds_no_quadratic_edge_list():
     # a list of (u, v) tuples over all n(n-1)/2 pairs peaks at about 3.2 MiB here
-    tracemalloc.start()
-    try:
-        generate(GenConfig(family="forest-union", n=300, nu=2, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert traced_peak(generate, GenConfig(family="forest-union", n=300, nu=2, seed=1)) < 1 << 20
 
 
 def test_grid_3x3_shape_and_arboricity():
@@ -282,3 +275,24 @@ def test_generator_calls_grow_as_the_table_states(row, call, sizes, exponent, wh
     small, large = (python_calls(*call(k)) for k in sizes)
     growth = math.log(large / small) / math.log(sizes[1] / sizes[0])
     assert abs(growth - exponent) < 0.1, (row, why, small, large)
+
+
+# --- memory: the traced peak per unit at one size ----------------------------
+
+
+# Each generator path as (row, its call, its units, the bytes per unit, why):
+# the traced peak per unit lies in [bytes, 1.25 * bytes). tracemalloc slows a
+# call about tenfold, so each size is small, yet large enough that the fixed
+# costs stay inside the 25% (forest-union reads 4.28 B a pair at n = 400).
+GENERATOR_MEMORY = [
+    ("forest-union", (generate, GenConfig("forest-union", n=400)), 400 * 399 // 2, 4,
+     "Θ(n²) packed pairs, shuffled in place, 4 B each while their keys fit 32 bits "
+     "(n < 2**16); n-sized lists and the tree come on top"),
+]
+
+
+@pytest.mark.parametrize("row, call, units, size, why", GENERATOR_MEMORY,
+                         ids=[row[0] for row in GENERATOR_MEMORY])
+def test_generator_peak_per_unit_is_as_the_table_states(row, call, units, size, why):
+    per_unit = traced_peak(*call) / units
+    assert size <= per_unit < 1.25 * size, (row, why, per_unit)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wmstream import (
     CapacityError,
@@ -11,7 +11,6 @@ from wmstream import (
     ParameterError,
     RunReport,
     Verdict,
-    WeightRangeError,
     build_schedule,
     check_lemma1,
     check_lemma2,
@@ -157,9 +156,9 @@ def test_run_refuses_a_code_built_weight_outside_1_wmax_as_top_level_does(kind, 
     # refuse them, with top_level's class and message
     header = StreamHeader(4, 4.0, INSERT_ONLY)
     updates = [StreamUpdate("insert", 1, 2, 2.0), StreamUpdate("insert", 3, 4, w)]
-    with pytest.raises(WeightRangeError) as expected:
+    with pytest.raises(ParameterError) as expected:
         top_level(build_schedule(1.0, header.wmax), w)
-    with pytest.raises(WeightRangeError) as got:
+    with pytest.raises(ParameterError) as got:
         run(header, updates, 1.0, 0.1, kind)
     assert str(got.value) == str(expected.value)
 
@@ -220,6 +219,25 @@ def test_run_rejects_delta_outside_0_1(delta):
     header, updates = parse_stream(TWO_EDGE_STREAM)
     with pytest.raises(ParameterError):
         run(header, updates, 1.0, delta, EXACT_OFFLINE)
+
+
+DELTA_STREAM = generate(GenConfig("forest-union", n=8, nu=2, wmax=64.0, seed=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       kind=st.sampled_from([EXACT_OFFLINE, GREEDY]))
+@example(delta=5e-324, kind=EXACT_OFFLINE)
+@example(delta=5e-324, kind=GREEDY)
+@example(delta=math.nextafter(1.0, 0.0), kind=GREEDY)
+def test_run_reads_delta_only_into_the_report(delta, kind):
+    # run is the one check of delta; delta_prime = delta / (T + 1) may
+    # underflow to 0.0, and no estimator reads it
+    header, updates = DELTA_STREAM
+    report = run(header, updates, 0.1, delta, kind)
+    assert report.delta_prime == delta / (report.schedule.levels + 1)
+    reference = run(header, updates, 0.1, 0.1, kind)
+    assert report._replace(delta=0.1, delta_prime=reference.delta_prime) == reference
 
 
 def test_check_lemma1_accepts_and_rejects():

@@ -10,7 +10,6 @@ from wmstream import (
     GenConfig,
     ParameterError,
     ParseError,
-    WeightRangeError,
     WmStreamError,
     build_schedule,
     generate,
@@ -130,7 +129,7 @@ def test_a_weight_outside_1_to_wmax_is_refused_in_the_same_words_by_parser_and_t
     words = f"weight {w} outside [1, 4.0]"
     stream = f"n 2 wmax 4 model insert-only\n+ 1 2 {w}\n"
     assert refusal(lambda: parse_stream(stream)) == (ParseError, f"line 2: {words}")
-    assert refusal(lambda: top_level(build_schedule(0.5, 4.0), w)) == (WeightRangeError, words)
+    assert refusal(lambda: top_level(build_schedule(0.5, 4.0), w)) == (ParameterError, words)
 
 
 @pytest.mark.parametrize("epsilon", [0, 0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, "0.5", None])
@@ -150,10 +149,10 @@ def test_top_level_rejects_out_of_range():
     s = build_schedule(1.0, 4.0)
     # nan fails every comparison, so the range check refuses it too
     for w in (0.5, 4.001, math.nan, math.inf, -math.inf):
-        with pytest.raises(WeightRangeError) as excinfo:
+        with pytest.raises(ParameterError) as excinfo:
             top_level(s, w)
         assert str(excinfo.value) == f"weight {w} outside [1, 4.0]"
-        assert excinfo.value.exit_code == 2  # through its base, ParameterError
+        assert excinfo.value.exit_code == 2
 
 
 @given(
