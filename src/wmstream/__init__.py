@@ -33,7 +33,6 @@ from .reduction import (
 )
 from .schedule import LevelSchedule, build_schedule, top_level
 from .stream_io import (
-    GraphSnapshot,
     StreamHeader,
     StreamUpdate,
     parse_stream,

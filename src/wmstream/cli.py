@@ -16,6 +16,7 @@ from . import generators, oracle, reduction, stream_io
 from .errors import InvariantError, ParameterError, ParseError, WmStreamError
 from .estimators import ESTIMATORS, EXACT_OFFLINE
 
+DEFAULT_DELTA = 0.1  # of `estimate` without --delta and of a suite block without delta=
 CSV_COLUMNS = ["config", "epsilon", "estimator", "lambda", "estimate",
                *reduction.Verdict._fields[:6], "total_words", "status"]
 
@@ -115,7 +116,7 @@ def parse_suite(text: str | bytes) -> list[SuiteRow]:
         if reps < 1:
             raise ParseError(f"suite key reps must be >= 1, got {reps}")
         epsilon = typed("epsilon", float, "0.5")
-        delta = typed("delta", float, "0.1")
+        delta = typed("delta", float, DEFAULT_DELTA)
         for rep in range(reps):
             config = generators.GenConfig(**values, seed=base_seed + rep)
             rows.append(SuiteRow(config, epsilon, delta, estimator))
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate MWM weight of a stream file")
     p_est.add_argument("--stream", required=True)
     p_est.add_argument("--epsilon", type=float, required=True)
-    p_est.add_argument("--delta", type=float, default=0.1)
+    p_est.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p_est.add_argument("--estimator", choices=ESTIMATORS, default=EXACT_OFFLINE)
     p_est.add_argument("--verify", action="store_true",
                        help="also judge the run as eval does: the exact oracle, the "

@@ -49,8 +49,8 @@ class CapabilityError(WmStreamError):
 class CapacityError(WmStreamError):
     """An instance exceeds a size cap: the exhaustive oracle's, the level
     schedule's (``schedule.MAX_LEVELS``), a vertex count ``n`` too large
-    for the greedy estimator's per-vertex list or, from 2**32 on, for
-    forest-union's packed pairs, or the float range (a top threshold in
+    for the greedy estimator's per-vertex list or for the memory that
+    forest-union's packed pairs need, or the float range (a top threshold in
     ``build_schedule``, an estimate in ``combine``, a matching weight in
     ``exact_mwm``)."""
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import CapabilityError, CapacityError, ParameterError, StreamError, WmStreamError
 from .oracle import check_oracle_cap, exact_mcm
-from .stream_io import DELETE, DYNAMIC, INSERT, GraphSnapshot, n_refusal
+from .stream_io import DELETE, DYNAMIC, INSERT, edge_refusal, n_refusal
 
 EXACT_OFFLINE = "exact"
 GREEDY = "greedy"
@@ -72,12 +72,9 @@ class GreedyEstimator:
 
 
 def _refusal(est, u: int, v: int, top: int) -> WmStreamError:
-    """The error for an update that ``est`` refuses: a bad edge first, named
-    smaller id first as ``replay`` names it, then a top level outside 0..levels."""
-    if u > v:
-        u, v = v, u
-    if u == v or u < 1 or v > est.n:
-        return StreamError(f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{est.n}")
+    """The error for an update that ``est`` refuses: a bad edge first, then a bad top."""
+    if u == v or not (0 < u <= est.n and 0 < v <= est.n):
+        return StreamError(edge_refusal(u, v, est.n))
     return ParameterError(f"top level {top} outside 0..{est.levels}")
 
 
@@ -172,7 +169,7 @@ class ExactOfflineEstimator:
                 level += added[i]
                 ends.update(x for u, v, _ in added[i] for x in (u, v))
                 if value < len(ends) // 2:  # else the value is at the ceiling
-                    value = float(exact_mcm(GraphSnapshot(self.n, tuple(level))).value)
+                    value = float(exact_mcm(level).value)
             out.append(McmEstimate(value, len(level) + (self._gap >> i * width & field)))
         return out[::-1]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -38,14 +39,20 @@ class GenConfig(NamedTuple):
 
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    # Kruskal on a random permutation of the complete graph's pairs u < v,
-    # packed as u*(n+1)+v < n*(n+2) in _column's narrowest typecode: 1, 2, 4 or 8
-    # bytes a pair for n below 2**4, 2**8, 2**16 or 2**32, a list (refused) past
-    # that; shuffle draws by length alone
+    # Kruskal on a random permutation of the complete graph's pairs u < v, packed
+    # as u*(n+1)+v < n*(n+2) in _column's narrowest typecode (1, 2, 4 or 8 bytes a
+    # pair below n = 2**4, 2**8, 2**16, 2**32; a list past that), made in one
+    # allocation and refused, before any pair, when no memory holds it; shuffle draws by length
     keys = _column(n * (n + 2))
-    if isinstance(keys, list):
-        raise CapacityError(f"n = {n} is too large for forest-union")
-    keys.extend(u * (n + 1) + v for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    keys.append(0)
+    try:
+        keys *= n * (n - 1) // 2
+    except (MemoryError, OverflowError):  # raised before anything is allocated
+        raise CapacityError(f"n = {n} is too large for forest-union") from None
+    at = 0
+    for u in range(1, n):  # row u holds u*(n+1)+v for v = u+1..n
+        keys[at:at + n - u] = array(keys.typecode, range(u * (n + 2) + 1, (u + 1) * (n + 1)))
+        at += n - u
     rng.shuffle(keys)
     parent = list(range(n + 1))
 

@@ -21,10 +21,9 @@ lives with the tests, in ``tests/helpers.py``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityError
-from .stream_io import GraphSnapshot
 
 MAX_ORACLE_EDGES = 24
 
@@ -34,29 +33,29 @@ class OracleResult(NamedTuple):
     witness: tuple[tuple[int, int, float], ...]
 
 
-def exact_mwm(snapshot: GraphSnapshot) -> OracleResult:
-    """Maximum weighted matching by the frontier dynamic program over the
-    sorted edge list: of the optimal matchings, the lexicographically smallest
-    witness, its value summed in edge order. More than MAX_ORACLE_EDGES edges
-    (checked before any search) or a value past the float range raises
-    CapacityError."""
-    check_oracle_cap(snapshot.edges)
-    value, witness = _mwm_frontier(sorted(snapshot.edges))
+def exact_mwm(edges: Sequence[tuple]) -> OracleResult:
+    """Maximum weighted matching of ``edges``, a sized sequence of (u, v, w)
+    with u < v in any order, by the frontier dynamic program over them sorted:
+    of the optimal matchings, the lexicographically smallest witness, its value
+    summed in edge order. More than MAX_ORACLE_EDGES edges (checked before any
+    search) or a value past the float range raises CapacityError."""
+    check_oracle_cap(edges)
+    value, witness = _mwm_frontier(sorted(edges))
     if value == math.inf:
         raise CapacityError("the matching weight is past the float range")
     return OracleResult(value, witness)
 
 
-def exact_mcm(snapshot: GraphSnapshot) -> OracleResult:
-    """Maximum cardinality matching, with unit weights on the witness and an
-    int value. The first leaf of an include-first search over the sorted
-    edges is the greedy maximal matching. When it has floor(|V|/2) edges it
-    is maximum. It is also the lexicographically smallest of that size: a
-    matching that agrees with it up to some edge cannot hold the next edge
-    that the greedy pass skipped, so it first differs by lacking an edge
-    that the pass took. Otherwise the dynamic program answers."""
-    check_oracle_cap(snapshot.edges)
-    unit = sorted((u, v, 1.0) for u, v, _ in snapshot.edges)
+def exact_mcm(edges: Sequence[tuple]) -> OracleResult:
+    """Maximum cardinality matching of ``edges``, taken as ``exact_mwm`` takes
+    them, with unit weights on the witness and an int value. The first leaf of
+    an include-first search over the sorted edges is the greedy maximal matching.
+    When it has floor(|V|/2) edges it is maximum. It is also the lexicographically
+    smallest of that size: a matching that agrees with it up to some edge cannot
+    hold the next edge that the greedy pass skipped, so it first differs by
+    lacking an edge that the pass took. Otherwise the dynamic program answers."""
+    check_oracle_cap(edges)
+    unit = sorted((u, v, 1.0) for u, v, _ in edges)
     ends = {x for u, v, _ in unit for x in (u, v)}
     used: set[int] = set()
     leaf = []

@@ -24,7 +24,7 @@ from .errors import CapacityError, ParameterError
 from .estimators import ESTIMATORS, make_estimator
 from .oracle import check_oracle_cap, exact_mcm, exact_mwm
 from .schedule import LevelSchedule, build_schedule, top_level
-from .stream_io import GraphSnapshot, StreamHeader, StreamUpdate, _plain_updates
+from .stream_io import StreamHeader, StreamUpdate, _plain_updates
 
 # Relative slack of check_sandwich and check_lemma2, which compare float sums
 # added in other orders than the combine's.
@@ -154,12 +154,9 @@ def check_sandwich(report: RunReport, mwm: float) -> tuple[float, float, bool]:
     return ratio, bound, 1.0 - REL_SLACK <= ratio <= bound * (1.0 + REL_SLACK)
 
 
-def check_lemma2(
-    report: RunReport,
-    snapshot: GraphSnapshot,
-    matching_weights: Sequence[float],
-) -> bool:
-    """Both halves of lemma 2 for a report on the final graph ``snapshot``;
+def check_lemma2(report: RunReport, edges: Sequence[tuple],
+                 matching_weights: Sequence[float]) -> bool:
+    """Both halves of lemma 2 for a report on the final graph's ``edges``;
     matching_weights are the edge weights of an optimal weighted matching M*.
 
     Lower: one matching M of the graph has at least b_j edges of weight
@@ -175,20 +172,19 @@ def check_lemma2(
     M* itself need not reach b_j: a heavy edge alone on the top levels gives
     b_j = 1 there, while M* may take two lighter edges at its endpoints.
 
-    The level matchings come from the exact oracle, so the snapshot must be
-    within its edge cap (MAX_ORACLE_EDGES); a larger one raises
-    CapacityError whatever the report.
+    The level matchings come from the exact oracle, so more edges than its
+    cap (MAX_ORACLE_EDGES) raise CapacityError whatever the report.
     """
-    check_oracle_cap(snapshot.edges)
+    check_oracle_cap(edges)
     lam = ESTIMATORS[report.estimator].LAM
     thresholds = report.schedule.thresholds
-    weight = {(u, v): w for u, v, w in snapshot.edges}
+    weight = {(u, v): w for u, v, w in edges}
     used: set[int] = set()
     picked: list[float] = []
     for st in report.levels:  # top level down
         t = thresholds[st.level]
         if st.delta_count > 0:
-            level = GraphSnapshot(snapshot.n, tuple(e for e in snapshot.edges if e[2] >= t))
+            level = [e for e in edges if e[2] >= t]
             free = [
                 (u, v) for u, v, _ in exact_mcm(level).witness
                 if u not in used and v not in used
@@ -216,16 +212,16 @@ class Verdict(NamedTuple):
     ok: bool  # all four checks hold
 
 
-def verify(report: RunReport, snapshot: GraphSnapshot) -> Verdict:
+def verify(report: RunReport, edges: Sequence[tuple]) -> Verdict:
     """The one verdict of ``eval`` and ``estimate --verify`` on a report from
-    ``run`` and its final graph: the exact MWM, then the sandwich, lemma 1,
-    the observations and lemma 2. A snapshot past the 24-edge oracle cap
-    raises CapacityError from ``exact_mwm`` before any check runs."""
-    result = exact_mwm(snapshot)
+    ``run`` and its final graph's edges: the exact MWM, then the sandwich,
+    lemma 1, the observations and lemma 2. More edges than the 24-edge oracle
+    cap raise CapacityError from ``exact_mwm`` before any check runs."""
+    result = exact_mwm(edges)
     ratio, bound, sandwich_ok = check_sandwich(report, result.value)
     lemma1_ok = check_lemma1(report)
     obs_ok = check_observations(report)
-    lemma2_ok = check_lemma2(report, snapshot, [w for _, _, w in result.witness])
+    lemma2_ok = check_lemma2(report, edges, [w for _, _, w in result.witness])
     return Verdict(result.value, ratio, bound, lemma1_ok, obs_ok, lemma2_ok, sandwich_ok,
                    lemma1_ok and obs_ok and lemma2_ok and sandwich_ok)
 

@@ -44,6 +44,11 @@ def wmax_refusal(wmax) -> str | None:
     return None if ok else f"wmax must be finite and >= 1, got {wmax!r}"
 
 
+def weight_refusal(w: float, wmax: float) -> str:
+    """The words refusing a weight ``w`` outside [1, wmax], for the parser and ``top_level``."""
+    return f"weight {w} outside [1, {wmax}]"
+
+
 def build_schedule(epsilon: float, wmax: float) -> LevelSchedule:
     """Construct the level schedule for granularity ``epsilon`` and declared
     maximum weight ``wmax``.
@@ -84,5 +89,5 @@ def top_level(schedule: LevelSchedule, w: float) -> int:
     fails every comparison.
     """
     if not 1.0 <= w <= schedule.wmax:
-        raise ParameterError(f"weight {w} outside [1, {schedule.wmax}]")
+        raise ParameterError(weight_refusal(w, schedule.wmax))
     return bisect_right(schedule.thresholds, w) - 1

@@ -15,7 +15,7 @@ from operator import eq
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, StreamError
-from .schedule import wmax_refusal
+from .schedule import weight_refusal, wmax_refusal
 
 INSERT_ONLY = "insert-only"
 DYNAMIC = "dynamic"
@@ -93,13 +93,6 @@ def _column(top: int) -> array | list:
         if top < 1 << 8 * array(code).itemsize:
             return array(code)
     return []
-
-
-class GraphSnapshot(NamedTuple):
-    """A materialized simple graph: edges are (u, v, w) with u < v."""
-
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
 
 
 def _fmt(x: float) -> str:
@@ -228,7 +221,7 @@ def _checked_records(
         if u == v:
             raise ParseError(f"self-loop in {raw.strip()!r}", lineno)
         if not 1.0 <= w <= wmax:
-            raise ParseError(f"weight {w} outside [1, {wmax}]", lineno)
+            raise ParseError(weight_refusal(w, wmax), lineno)
         key = u * size + v if u < v else v * size + u
         if insert_only:
             into[key % 251](key)
@@ -272,15 +265,17 @@ def n_refusal(n: int) -> str | None:
     return None if isinstance(n, int) and n >= 1 else f"n must be >= 1, got {n!r}"
 
 
-def replay(header: StreamHeader, updates: Iterable[StreamUpdate]) -> GraphSnapshot:
-    """Replay updates to the final graph, enforcing strict multiset rules and
-    refusing a self-loop or a vertex outside 1..n, which only updates built
-    in code can hold."""
-    size = header.n + 1
-    edges = sorted(
-        (*divmod(key, size), w) for key, w in _live_edges(header, updates).items()
-    )
-    return GraphSnapshot(header.n, tuple(edges))
+def replay(header: StreamHeader, updates: Iterable[StreamUpdate]) -> tuple[tuple, ...]:
+    """Replay updates to the final graph, its edges as sorted ``(u, v, w)``
+    with u < v, enforcing strict multiset rules and refusing a self-loop or a
+    vertex outside 1..n, which only updates built in code can hold."""
+    size, live = header.n + 1, _live_edges(header, updates)
+    return tuple(sorted((*divmod(key, size), w) for key, w in live.items()))
+
+
+def edge_refusal(u: int, v: int, n: int) -> str:
+    """The words refusing edge (u, v), smaller id first, for ``_live_edges`` and ``update``."""
+    return f"edge ({min(u, v)}, {max(u, v)}) is a self-loop or has a vertex outside 1..{n}"
 
 
 def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
@@ -301,7 +296,7 @@ def _live_edges(header: StreamHeader, updates: Iterable[StreamUpdate]) -> dict:
         if u > v:
             u, v = v, u
         if u == v or u < 1 or v > n:
-            raise StreamError(f"edge ({u}, {v}) is a self-loop or has a vertex outside 1..{n}")
+            raise StreamError(edge_refusal(u, v, n))
         key = u * size + v
         if op == INSERT:
             if key in present:

@@ -11,7 +11,6 @@ from math import ceil
 from wmstream import (
     CapacityError,
     GenConfig,
-    GraphSnapshot,
     ParameterError,
     ParseError,
     RunReport,
@@ -83,15 +82,16 @@ def corpus_instances():
     out = []
     for config in corpus_configs():
         header, updates = generate(config)
-        if len(replay(header, updates).edges) <= MAX_ORACLE_EDGES:
+        if len(replay(header, updates)) <= MAX_ORACLE_EDGES:
             out.append((config, header, updates))
     return out
 
 
-def snapshot_stream(snapshot, wmax):
-    """A snapshot re-expressed as an insertion-only stream sorted by (u, v)."""
-    header = StreamHeader(snapshot.n, wmax, INSERT_ONLY)
-    return header, [StreamUpdate(INSERT, u, v, w) for u, v, w in snapshot.edges]
+def snapshot_stream(n, edges, wmax):
+    """A final graph's edges on 1..n re-expressed as an insertion-only stream
+    in their order, sorted by (u, v) when they come from ``replay``."""
+    header = StreamHeader(n, wmax, INSERT_ONLY)
+    return header, [StreamUpdate(INSERT, u, v, w) for u, v, w in edges]
 
 
 def combined_report(schedule, s_hats, estimator=EXACT_OFFLINE):
@@ -132,20 +132,21 @@ def report_dict_reference(report):
 # --- arboricity, the bound the forest-union generator promises ----------------
 
 
-def arboricity(snapshot: GraphSnapshot) -> int:
-    """Density arboricity: max over vertex subsets U (|U| >= 2) of
-    ceil(|E(U)| / (|U| - 1)), by exhaustive subset enumeration."""
-    if snapshot.n > MAX_ARBORICITY_VERTICES:
+def arboricity(n, edges) -> int:
+    """Density arboricity of the graph on 1..n with the (u, v, w) ``edges``:
+    max over vertex subsets U (|U| >= 2) of ceil(|E(U)| / (|U| - 1)), by
+    exhaustive subset enumeration."""
+    if n > MAX_ARBORICITY_VERTICES:
         raise CapacityError(
-            f"n={snapshot.n} exceeds arboricity cap {MAX_ARBORICITY_VERTICES}"
+            f"n={n} exceeds arboricity cap {MAX_ARBORICITY_VERTICES}"
         )
-    if not snapshot.edges:
+    if not edges:
         return 0
     edge_masks = [
-        (1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in snapshot.edges
+        (1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in edges
     ]
     best = 0
-    for mask in range(3, 1 << snapshot.n):
+    for mask in range(3, 1 << n):
         size = mask.bit_count()
         if size < 2:
             continue
@@ -217,7 +218,7 @@ def greedy_level_reference(edges):
     return float(size), size
 
 
-def exact_level_reference(n, updates):
+def exact_level_reference(updates):
     """One level's (op, u, v) updates on a simple graph, kept as the set of
     live pairs: (exact MCM of the surviving pairs, peak number of live
     pairs). Like the exact estimator, it refuses an insert of a live pair
@@ -235,8 +236,7 @@ def exact_level_reference(n, updates):
             live.remove(key)
         else:
             raise StreamError(f"delete of absent edge {key}")
-    snapshot = GraphSnapshot(n, tuple(sorted((u, v, 1.0) for u, v in live)))
-    return float(exact_mcm(snapshot).value), peak
+    return float(exact_mcm([(u, v, 1.0) for u, v in live]).value), peak
 
 
 # --- the quadratic dynamify, kept as the reference for the indexed one --------

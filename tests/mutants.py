@@ -183,8 +183,8 @@ MUTANTS = (
     Mutant("main.collector-never-restored", "cli.py",
            "        if collecting:\n            gc.enable()\n", "        pass\n",
            ("test_cli.py",)),
-    # one home per validation rule: each predicate and message, and each
-    # raise site of the weight-range and edge words, which parity tests pin
+    # one home per validation rule: each predicate and message, the weight-range
+    # and edge words included, which parity tests pin at each of their raise sites
     Mutant("rules.n-bound-at-0", "stream_io.py",
            "and n >= 1 else", "and n >= 0 else", ("test_schedule.py",)),
     Mutant("rules.n-type-test-dropped", "stream_io.py",
@@ -206,19 +206,14 @@ MUTANTS = (
            "got {wmax!r}", "got {wmax}", ("test_schedule.py",)),
     Mutant("rules.epsilon-message-unquoted", "schedule.py",
            "got {epsilon!r}", "got {epsilon}", ("test_schedule.py",)),
-    Mutant("rules.weight-message-in-parser", "stream_io.py",
+    Mutant("rules.weight-message", "schedule.py",
            'outside [1, {wmax}]"', 'outside [1, {wmax})"', ("test_schedule.py",)),
-    Mutant("rules.weight-message-in-top-level", "schedule.py",
-           'outside [1, {schedule.wmax}]"', 'outside [1, {schedule.wmax})"',
-           ("test_schedule.py",)),
-    Mutant("rules.edge-message-in-replay", "stream_io.py",
-           '"edge ({u}, {v}) is a self-loop', '"edge ({v}, {u}) is a self-loop',
+    Mutant("rules.edge-message", "stream_io.py",
+           'is a self-loop or has a vertex', 'is a loop or has a vertex',
            ("test_estimators.py",)),
-    Mutant("rules.edge-message-in-update", "estimators.py",
-           '"edge ({u}, {v}) is a self-loop', '"edge ({v}, {u}) is a self-loop',
-           ("test_estimators.py",)),
-    Mutant("rules.edge-order-swap-dropped-in-update", "estimators.py",
-           "    if u > v:\n        u, v = v, u\n", "", ("test_estimators.py",)),
+    # _live_edges orders the pair before it refuses it; only update does not
+    Mutant("rules.edge-order-swap-dropped-in-update", "stream_io.py",
+           'f"edge ({min(u, v)}, {max(u, v)})', 'f"edge ({u}, {v})', ("test_estimators.py",)),
     Mutant("rules.delta-prime-checked-again", "estimators.py",
            "    return cls(n, levels)\n",
            "    if not (0.0 < delta_prime < 1.0):\n"
@@ -283,18 +278,18 @@ MUTANTS = (
     Mutant("lemma2.per-level-count-unchecked", "reduction.py",
            "if len(picked) < st.b:", "if False:", ("test_reduction.py",)),
     Mutant("lemma2.level-edges-strictly-heavier", "reduction.py",
-           "for e in snapshot.edges if e[2] >= t)", "for e in snapshot.edges if e[2] > t)",
+           "for e in edges if e[2] >= t]", "for e in edges if e[2] > t]",
            ("test_reduction.py",)),
     Mutant("lemma2.upper-half-without-2", "reduction.py",
            "> 2 * lam * st.b:", "> lam * st.b:", ("test_reduction.py",)),
     Mutant("lemma2.lambda-fixed-at-2", "reduction.py",
            "lam = ESTIMATORS[report.estimator].LAM", "lam = 2.0", ("test_reduction.py",)),
     Mutant("lemma2.cap-unchecked", "reduction.py",
-           "    check_oracle_cap(snapshot.edges)\n    lam", "    lam", ("test_reduction.py",)),
+           "    check_oracle_cap(edges)\n    lam", "    lam", ("test_reduction.py",)),
     Mutant("lemma2.maximal-level-matching", "reduction.py",
            "exact_mcm(level).witness",
            '__import__("functools").reduce(lambda ms, e: ms if {e[0], e[1]} & '
-           '{x for f in ms for x in f[:2]} else ms + [e], level.edges, [])',
+           '{x for f in ms for x in f[:2]} else ms + [e], level, [])',
            ("test_reduction.py",)),
     # the estimators
     Mutant("exact.key-packed-unordered", "estimators.py",
@@ -376,15 +371,19 @@ MUTANTS = (
     Mutant("forest.duplicates-kept", "generators.py",
            "list(dict.fromkeys(chain.from_iterable(trees)))", "list(chain.from_iterable(trees))",
            ("test_generators.py",)),
-    # forest-union's packed pairs: the narrowest column, refused past 64 bits;
-    # a dropped refusal only fills memory, so only a capped child sees it
+    # forest-union's packed pairs: the narrowest column, sized in one allocation
+    # and refused when no memory holds it; a dropped refusal ends in a
+    # MemoryError or OverflowError, so only a capped child sees it
     Mutant("forest.keys-in-8-bytes", "generators.py",
            "keys = _column(n * (n + 2))", 'keys = __import__("array").array("Q")',
            ("test_generators.py",)),
     Mutant("forest.refusal-dropped", "generators.py",
-           "    if isinstance(keys, list):\n"
-           "        raise CapacityError(f\"n = {n} is too large for forest-union\")\n", "",
-           ("test_cli.py",)),
+           "    try:\n        keys *= n * (n - 1) // 2\n"
+           "    except (MemoryError, OverflowError):  # raised before anything is allocated\n"
+           "        raise CapacityError(f\"n = {n} is too large for forest-union\") from None\n",
+           "    keys *= n * (n - 1) // 2\n", ("test_cli.py",)),
+    Mutant("forest.memory-refusal-dropped", "generators.py",
+           "except (MemoryError, OverflowError):", "except OverflowError:", ("test_cli.py",)),
     # the exact searches
     Mutant("mwm.frontier-ties-by-value-alone", "oracle.py",
            "                if old is None or state > old:\n                    nxt[key] = state\n"
@@ -395,7 +394,7 @@ MUTANTS = (
     Mutant("mwm.copy-layer-at-a-departure", "oracle.py",
            "stays = keep == later[idx]", "stays = True", ("test_oracle.py",)),
     Mutant("mwm.cap-unchecked", "oracle.py",
-           "    check_oracle_cap(snapshot.edges)\n    value", "    value", ("test_oracle.py",)),
+           "    check_oracle_cap(edges)\n    value", "    value", ("test_oracle.py",)),
     # exact_mcm's greedy leaf and its fallback to the dynamic program
     Mutant("mcm.leaf-one-below-the-ceiling", "oracle.py",
            "if len(leaf) == len(ends) // 2:", "if len(leaf) >= len(ends) // 2 - 1:",
@@ -403,7 +402,7 @@ MUTANTS = (
     Mutant("mcm.leaf-tests-one-end", "oracle.py",
            "if u not in used and v not in used:", "if v not in used:", ("test_oracle.py",)),
     Mutant("mcm.cap-unchecked", "oracle.py",
-           "    check_oracle_cap(snapshot.edges)\n    unit", "    unit", ("test_oracle.py",)),
+           "    check_oracle_cap(edges)\n    unit", "    unit", ("test_oracle.py",)),
     Mutant("mcm.fallback-value-a-float", "oracle.py",
            "OracleResult(int(value), witness)", "OracleResult(value, witness)",
            ("test_oracle.py",)),

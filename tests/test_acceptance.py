@@ -12,7 +12,6 @@ import pytest
 
 from wmstream import (
     GenConfig,
-    GraphSnapshot,
     build_schedule,
     check_lemma1,
     check_lemma2,
@@ -87,14 +86,11 @@ def test_criterion_2_sandwich_greedy(greedy_reports):
         assert oracle.value <= bound * report.estimate * (1 + REL), config.summary()
     # per-substream greedy contract g <= MCM <= 2g, once per (instance, eps)
     for config, header, updates, epsilon, _, report in greedy_reports:
-        snap = replay(header, updates)
+        edges = replay(header, updates)
         thresholds = report.schedule.thresholds
         for state in report.levels:
-            sub_edges = tuple(
-                (u, v, 1.0) for u, v, w in snap.edges
-                if w >= thresholds[state.level]
-            )
-            mcm = exact_mcm(GraphSnapshot(header.n, sub_edges)).value
+            sub_edges = [e for e in edges if e[2] >= thresholds[state.level]]
+            mcm = exact_mcm(sub_edges).value
             g = state.s_hat
             assert g <= mcm <= 2 * g or (g == 0 and mcm == 0), config.summary()
     _announce(2, f"{len(greedy_reports)} runs", started)
@@ -113,10 +109,10 @@ PAST_CAP_CONFIGS = (
 def test_greedy_guarantee_past_the_oracle_cap(config):
     # networkx's weighted blossom algorithm stands in for exact_mwm here
     header, updates = generate(config)
-    snap = replay(header, updates)
-    assert len(snap.edges) > MAX_ORACLE_EDGES
+    edges = replay(header, updates)
+    assert len(edges) > MAX_ORACLE_EDGES
     graph = nx.Graph()
-    graph.add_weighted_edges_from(snap.edges)
+    graph.add_weighted_edges_from(edges)
     mwm = sum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
     for epsilon in EPSILONS:
         report = run(header, updates, epsilon, 0.1, GREEDY)
@@ -181,14 +177,11 @@ def test_per_level_cardinality_sandwich_exact(exact_reports):
     # stronger fact that one matching realises every b_j at once.
     started = time.perf_counter()
     for config, header, updates, _, _, report in exact_reports:
-        snap = replay(header, updates)
+        edges = replay(header, updates)
         thresholds = report.schedule.thresholds
         for state in report.levels:
-            sub_edges = tuple(
-                (u, v, 1.0) for u, v, w in snap.edges
-                if w >= thresholds[state.level]
-            )
-            ustar = exact_mcm(GraphSnapshot(header.n, sub_edges)).value
+            sub_edges = [e for e in edges if e[2] >= thresholds[state.level]]
+            ustar = exact_mcm(sub_edges).value
             assert state.b <= ustar <= 2 * state.b or (state.b == 0 and ustar == 0), \
                 config.summary()
     print(f"[acceptance] corrected per-level bound: PASS "
@@ -205,7 +198,7 @@ def test_criterion_6_dynamic_consistency(corpus):
         churn = churns[idx % 3]
         dyn_header, dyn_updates = dynamify(header, updates, churn, config.seed + 7)
         snap_header, snap_updates = snapshot_stream(
-            replay(header, updates), header.wmax
+            header.n, replay(header, updates), header.wmax
         )
         dyn = run(dyn_header, dyn_updates, 0.5, 0.1, EXACT_OFFLINE)
         base = run(snap_header, snap_updates, 0.5, 0.1, EXACT_OFFLINE)
@@ -226,13 +219,12 @@ def test_criterion_7_generator_soundness():
             seed=5000 + i,
         )
         header, updates = generate(config)
-        snap = replay(header, updates)
-        unit = GraphSnapshot(snap.n, tuple((u, v, 1.0) for u, v, _ in snap.edges))
-        full = arboricity(unit)
+        edges = replay(header, updates)
+        full = arboricity(header.n, edges)
         assert full <= nu, config.summary()
-        if unit.edges:
-            kept = rng.sample(list(unit.edges), rng.randint(1, len(unit.edges)))
-            assert arboricity(GraphSnapshot(snap.n, tuple(sorted(kept)))) <= full
+        if edges:
+            kept = rng.sample(list(edges), rng.randint(1, len(edges)))
+            assert arboricity(header.n, kept) <= full
     _announce(7, "100 forest unions", started)
 
 

@@ -230,6 +230,6 @@ def test_oracle_search_and_its_cache_may_be_absent():
     cache = getattr(search, "cache_info", None)
     if cache is not None:
         search.cache_clear()
-    graph = stream_io.GraphSnapshot(3, ((1, 2, 2.0), (2, 3, 1.0)))
+    graph = ((1, 2, 2.0), (2, 3, 1.0))
     assert oracle.exact_mwm(graph).value == 2.0
     assert oracle.exact_mcm(graph).value == 1

@@ -203,7 +203,9 @@ def _capped_main(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("n", [2**32, 2**64 - 4, 2**64])
+# n = 10**6 needs 4 TB of packed pairs, and from 2**32 on they would be a list: each
+# is refused at the column's one allocation, before any pair is made
+@pytest.mark.parametrize("n", [10**6, 2**32, 2**64 - 4, 2**64])
 def test_gen_refuses_a_forest_union_whose_pairs_pass_64_bits(tmp_path, n):
     out = tmp_path / "gen.stream"
     child = _capped_main(["gen", "--family", "forest-union", "--n", n, "--out", out])
@@ -215,13 +217,14 @@ def test_gen_refuses_a_forest_union_whose_pairs_pass_64_bits(tmp_path, n):
 def test_eval_writes_a_forest_union_row_past_64_bit_pairs_as_a_capacity_error(tmp_path):
     suite = tmp_path / "suite.txt"
     suite.write_text("family=grid\nrows=2\ncols=2\nestimator=exact\n\n"
+                     f"family=forest-union\nn={10**6}\nestimator=exact\n\n"
                      f"family=forest-union\nn={2**32}\nestimator=exact\n")
     out = tmp_path / "rows.csv"
     child = _capped_main(["eval", "--suite", suite, "--out", out])
-    assert child.returncode == 4 and child.stderr.count("\n") == 1
+    assert child.returncode == 4 and child.stderr.count("\n") == 2
     rows = csv.DictReader(line for line in out.read_text().splitlines()
                           if not line.startswith("#"))
-    assert [row["status"] for row in rows] == ["ok", "error:CapacityError"]
+    assert [row["status"] for row in rows] == ["ok"] + ["error:CapacityError"] * 2
 
 
 def test_gen_writes_parseable_stream(tmp_path, capsys):
@@ -292,6 +295,12 @@ def test_parse_suite_minimal_block_uses_genconfig_defaults():
     (row,) = parse_suite("family=grid\nestimator=greedy\n")
     assert row.config == GenConfig(family="grid")
     assert (row.epsilon, row.delta) == (0.5, 0.1)
+
+
+def test_estimate_and_a_suite_block_default_to_the_same_delta():
+    (row,) = parse_suite("family=grid\nestimator=greedy\n")
+    args = cli.build_parser().parse_args(["estimate", "--stream", "s", "--epsilon", "0.5"])
+    assert row.delta == args.delta == cli.DEFAULT_DELTA == 0.1
 
 
 def test_parse_suite_rejects_unknown_key():

@@ -10,7 +10,6 @@ from wmstream import (
     ESTIMATORS,
     CapabilityError,
     CapacityError,
-    GraphSnapshot,
     ParameterError,
     StreamError,
     StreamHeader,
@@ -241,9 +240,7 @@ def test_greedy_two_approximation_vs_oracle():
         for u, v in edges:
             est.update(INSERT, u, v)
         g = est.finalize()[0].value
-        m = exact_mcm(
-            GraphSnapshot(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
-        ).value
+        m = exact_mcm([(u, v, 1.0) for u, v in edges]).value
         assert g <= m <= 2 * g or (g == 0 and m == 0)
 
 
@@ -265,9 +262,7 @@ def test_exact_offline_matches_oracle_on_replayed_snapshot():
         est = make_estimator(EXACT_OFFLINE, n, 0.05, INSERT_ONLY)
         for u, v in edges:
             est.update(INSERT, u, v)
-        expected = exact_mcm(
-            GraphSnapshot(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
-        ).value
+        expected = exact_mcm([(u, v, 1.0) for u, v in edges]).value
         assert est.finalize()[0].value == float(expected)
 
 
@@ -332,7 +327,7 @@ def _nested_vs_reference(kind, schedule, n, stream):
         if kind == GREEDY:
             want.append(greedy_level_reference((u, v) for _, u, v in level))
         else:
-            want.append(exact_level_reference(n, level))
+            want.append(exact_level_reference(level))
     return got, want
 
 
@@ -559,9 +554,9 @@ def test_nested_exact_matches_per_level_reference_with_pairs_in_both_orientation
 def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
     asked = []
 
-    def counted(snapshot):
-        asked.append(len(snapshot.edges))
-        return exact_mcm(snapshot)
+    def counted(edges):
+        asked.append(len(edges))
+        return exact_mcm(edges)
 
     monkeypatch.setattr(estimators, "exact_mcm", counted)
     # weights 1 and 16 at eps 0.1: level 0 holds every edge, levels 1..29 the
@@ -574,7 +569,7 @@ def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
     assert report.schedule.levels == 30
     assert asked == [2, 5]  # top first; no call for a level that adds no edges
     got = [(st.s_hat, report.level_words[st.level]) for st in reversed(report.levels)]
-    want = [exact_level_reference(6, [(op, u, v) for op, u, v, w in stream if w >= t])
+    want = [exact_level_reference([(op, u, v) for op, u, v, w in stream if w >= t])
             for t in report.schedule.thresholds]
     assert got == want
 
@@ -582,9 +577,9 @@ def test_exact_finalize_asks_the_oracle_once_per_distinct_level(monkeypatch):
 def test_exact_finalize_skips_a_level_whose_value_is_already_at_its_ceiling(monkeypatch):
     asked = []
 
-    def counted(snapshot):
-        asked.append(len(snapshot.edges))
-        return exact_mcm(snapshot)
+    def counted(edges):
+        asked.append(len(edges))
+        return exact_mcm(edges)
 
     monkeypatch.setattr(estimators, "exact_mcm", counted)
     # at eps 1 and wmax 4 the heavy edges reach level 2; they match all four
@@ -604,7 +599,7 @@ def test_exact_walk_carries_values_down_through_levels_that_add_no_edges(seed):
     stream = _churned_stream(random.Random(seed), schedule, 12, 60, 20)
     got, want = _nested_vs_reference(EXACT_OFFLINE, schedule, 12, stream)
     assert got == want
-    live = replay(StreamHeader(12, 64.0, DYNAMIC), stream).edges
+    live = replay(StreamHeader(12, 64.0, DYNAMIC), stream)
     tops = {top_level(schedule, w) for _, _, w in live}
     assert len(live) <= 24 and len(tops) >= 2
     assert len(set(range(max(tops))) - tops) >= 10  # levels below the top adding none

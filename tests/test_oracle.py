@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import _mwm_search, arboricity
 from wmstream import (
     CapacityError,
-    GraphSnapshot,
     exact_mcm,
     exact_mwm,
     oracle,
@@ -15,31 +14,31 @@ from wmstream import (
 from wmstream.oracle import MAX_ORACLE_EDGES
 
 
-def snap(n, edges):
-    return GraphSnapshot(n, tuple(sorted((u, v, float(w)) for u, v, w in edges)))
+def snap(edges):
+    return tuple(sorted((u, v, float(w)) for u, v, w in edges))
 
 
 def test_mwm_takes_heavier_of_adjacent_pair():
-    result = exact_mwm(snap(3, [(1, 2, 3), (2, 3, 5)]))
+    result = exact_mwm(snap([(1, 2, 3), (2, 3, 5)]))
     assert result.value == 5.0
     assert result.witness == ((2, 3, 5.0),)
 
 
 def test_mwm_disjoint_edges_both_taken():
-    result = exact_mwm(snap(4, [(1, 2, 1), (3, 4, 4)]))
+    result = exact_mwm(snap([(1, 2, 1), (3, 4, 4)]))
     assert result.value == 5.0
     assert result.witness == ((1, 2, 1.0), (3, 4, 4.0))
 
 
 def test_mwm_heavy_edge_beats_two_light():
     # all 5 matchings enumerated by hand; {(1,3),(2,4)} only weighs 2
-    result = exact_mwm(snap(4, [(1, 2, 4), (1, 3, 1), (2, 4, 1)]))
+    result = exact_mwm(snap([(1, 2, 4), (1, 3, 1), (2, 4, 1)]))
     assert result.value == 4.0
     assert result.witness == ((1, 2, 4.0),)
 
 
 def test_mwm_empty_graph():
-    result = exact_mwm(snap(3, []))
+    result = exact_mwm(snap([]))
     assert result.value == 0.0
     assert result.witness == ()
 
@@ -52,7 +51,7 @@ def test_mwm_witness_is_a_matching():
             tuple(sorted(rng.sample(range(1, n + 1), 2)))
             for _ in range(rng.randint(0, 12))
         }
-        s = snap(n, [(u, v, rng.randint(1, 9)) for u, v in edges])
+        s = snap([(u, v, rng.randint(1, 9)) for u, v in edges])
         result = exact_mwm(s)
         used = [x for u, v, _ in result.witness for x in (u, v)]
         assert len(used) == len(set(used))
@@ -68,10 +67,10 @@ def test_mwm_witness_is_the_lexicographically_smallest_optimum():
             tuple(sorted(rng.sample(range(1, n + 1), 2)))
             for _ in range(rng.randint(1, 10))
         })
-        s = snap(n, [(u, v, rng.randint(1, 3)) for u, v in edges])
+        s = snap([(u, v, rng.randint(1, 3)) for u, v in edges])
         matchings = []
-        for mask in range(1 << len(s.edges)):
-            chosen = tuple(e for i, e in enumerate(s.edges) if mask >> i & 1)
+        for mask in range(1 << len(s)):
+            chosen = tuple(e for i, e in enumerate(s) if mask >> i & 1)
             ends = [x for u, v, _ in chosen for x in (u, v)]
             if len(ends) == len(set(ends)):
                 matchings.append((sum(w for _, _, w in chosen), chosen))
@@ -96,17 +95,17 @@ def test_mwm_agrees_with_networkx():
         g.add_weighted_edges_from(weighted)
         nx_matching = nx.max_weight_matching(g)
         nx_value = sum(g[u][v]["weight"] for u, v in nx_matching)
-        assert exact_mwm(snap(n, weighted)).value == nx_value
+        assert exact_mwm(snap(weighted)).value == nx_value
 
 
 def test_mcm_small_cases():
-    assert exact_mcm(snap(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])).value == 1
-    assert exact_mcm(snap(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])).value == 2
+    assert exact_mcm(snap([(1, 2, 1), (2, 3, 1), (1, 3, 1)])).value == 1
+    assert exact_mcm(snap([(1, 2, 1), (2, 3, 1), (3, 4, 1)])).value == 2
 
 
 def test_mcm_complete_bipartite_2_3():
     edges = [(a, b, 1) for a in (1, 2) for b in (3, 4, 5)]
-    result = exact_mcm(snap(5, edges))
+    result = exact_mcm(snap(edges))
     assert result.value == 2
     assert isinstance(result.value, int)
 
@@ -119,7 +118,7 @@ def test_mcm_equals_unit_weight_mwm():
             tuple(sorted(rng.sample(range(1, n + 1), 2)))
             for _ in range(rng.randint(0, 10))
         }
-        s = snap(n, [(u, v, 1) for u, v in edges])
+        s = snap([(u, v, 1) for u, v in edges])
         assert exact_mcm(s).value == exact_mwm(s).value
 
 
@@ -133,9 +132,9 @@ def test_mcm_monotone_under_edge_removal():
                 for _ in range(rng.randint(1, 12))
             }
         )
-        full = exact_mcm(snap(n, [(u, v, 1) for u, v in edges])).value
+        full = exact_mcm(snap([(u, v, 1) for u, v in edges])).value
         kept = rng.sample(edges, rng.randint(0, len(edges)))
-        sub = exact_mcm(snap(n, [(u, v, 1) for u, v in kept])).value
+        sub = exact_mcm(snap([(u, v, 1) for u, v in kept])).value
         assert sub <= full
 
 
@@ -153,22 +152,22 @@ def test_capacity_cap_enforced(monkeypatch):
     for edges in (star, disjoint):
         for search in (exact_mwm, exact_mcm):
             with pytest.raises(CapacityError, match="^25 edges exceed oracle cap 24$"):
-                search(snap(50, edges))
+                search(snap(edges))
 
 
 def test_arboricity_examples():
-    tree = snap(5, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
-    assert arboricity(tree) == 1
-    triangle = snap(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-    assert arboricity(triangle) == 2
-    k4 = snap(4, [(u, v, 1) for u in range(1, 5) for v in range(u + 1, 5)])
-    assert arboricity(k4) == 2
+    tree = snap([(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
+    assert arboricity(5, tree) == 1
+    triangle = snap([(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+    assert arboricity(3, triangle) == 2
+    k4 = snap([(u, v, 1) for u in range(1, 5) for v in range(u + 1, 5)])
+    assert arboricity(4, k4) == 2
 
 
 def test_arboricity_empty_and_caps():
-    assert arboricity(snap(4, [])) == 0
+    assert arboricity(4, snap([])) == 0
     with pytest.raises(CapacityError):
-        arboricity(snap(13, [(1, 2, 1)]))
+        arboricity(13, snap([(1, 2, 1)]))
 
 
 def test_arboricity_monotone_under_edge_removal():
@@ -181,9 +180,9 @@ def test_arboricity_monotone_under_edge_removal():
                 for _ in range(rng.randint(1, 14))
             }
         )
-        full = arboricity(snap(n, [(u, v, 1) for u, v in edges]))
+        full = arboricity(n, snap([(u, v, 1) for u, v in edges]))
         kept = rng.sample(edges, rng.randint(1, len(edges)))
-        sub = arboricity(snap(n, [(u, v, 1) for u, v in kept]))
+        sub = arboricity(n, snap([(u, v, 1) for u, v in kept]))
         assert sub <= full
 
 
@@ -207,13 +206,12 @@ def small_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_mwm_frontier_matches_the_branch_and_bound(edges):
-    graph = GraphSnapshot(10, tuple(edges))
-    result = exact_mwm(graph)
+    result = exact_mwm(edges)
     assert (result.value, result.witness) == _mwm_search(edges)
     # exact_mcm, from its leaf or the dynamic program, against the weighted
     # branch-and-bound on unit weights
     value, witness = _mwm_search([(u, v, 1.0) for u, v, _ in edges])
-    mcm = exact_mcm(graph)
+    mcm = exact_mcm(edges)
     assert (mcm.value, mcm.witness) == (value, witness)
     assert type(mcm.value) is int
 
@@ -234,10 +232,10 @@ def test_mcm_answers_from_the_greedy_leaf_or_the_dynamic_program(monkeypatch, ed
         return search(unit)
 
     monkeypatch.setattr(oracle, "_mwm_frontier", counted)
-    graph = snap(48, [(u, v, 1) for u, v in edges])
+    graph = snap([(u, v, 1) for u, v in edges])
     mcm = exact_mcm(graph)
     assert asked == ([] if from_dp is None else [len(edges)])
-    assert (mcm.value, mcm.witness) == _mwm_search(list(graph.edges))
+    assert (mcm.value, mcm.witness) == _mwm_search(list(graph))
     assert type(mcm.value) is int
     if from_dp is not None:
         assert mcm.witness == from_dp
@@ -262,10 +260,10 @@ def test_mwm_on_wide_frontiers_at_the_cap_agrees_with_networkx(shape, seed):
     g = nx.Graph()
     g.add_weighted_edges_from(weighted)
     nx_value = sum(g[u][v]["weight"] for u, v in nx.max_weight_matching(g))
-    graph = snap(300, weighted)
+    graph = snap(weighted)
     result = exact_mwm(graph)
     assert result.value == pytest.approx(nx_value, rel=1e-12)
-    assert (result.value, result.witness) == _mwm_search(list(graph.edges))
+    assert (result.value, result.witness) == _mwm_search(list(graph))
 
 
 def _cycle_with_pendant(first):
@@ -296,7 +294,7 @@ def test_structured_worst_cases_at_the_cap_agree_with_networkx(name):
     g.add_weighted_edges_from(weighted)
     nx_value = sum(g[u][v]["weight"] for u, v in nx.max_weight_matching(g))
     nx_size = len(nx.max_weight_matching(g, maxcardinality=True))
-    graph = snap(200, weighted)
+    graph = snap(weighted)
     assert exact_mwm(graph).value == nx_value
     assert exact_mcm(graph).value == nx_size
 
@@ -322,15 +320,15 @@ def test_mcm_matches_the_unit_weight_reference_on_sparse_graphs(shape, seed):
     pairs = shape(rng) if shape is _random_matching else shape()
     ids = sorted({x for e in pairs for x in e})
     label = dict(zip(ids, rng.sample(range(1, 49), len(ids))))
-    graph = snap(48, [(label[u], label[v], 1) for u, v in pairs])
-    assert len(graph.edges) <= MAX_ORACLE_EDGES
+    graph = snap([(label[u], label[v], 1) for u, v in pairs])
+    assert len(graph) <= MAX_ORACLE_EDGES
     mcm = exact_mcm(graph)
-    assert (mcm.value, mcm.witness) == _mwm_search(list(graph.edges))
+    assert (mcm.value, mcm.witness) == _mwm_search(list(graph))
 
 
 def test_a_matching_weight_past_the_float_range_is_refused():
-    heavy = snap(4, [(1, 2, 1e308), (3, 4, 1e308)])
+    heavy = snap([(1, 2, 1e308), (3, 4, 1e308)])
     with pytest.raises(CapacityError, match="^the matching weight is past the float range$"):
         exact_mwm(heavy)
-    assert exact_mwm(snap(4, [(1, 2, 1e308), (2, 3, 1e308)])).value == 1e308
+    assert exact_mwm(snap([(1, 2, 1e308), (2, 3, 1e308)])).value == 1e308
     assert exact_mcm(heavy).value == 2

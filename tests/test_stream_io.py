@@ -55,7 +55,7 @@ def test_records_unpack_as_plain_tuples():
 def test_parse_dynamic_cancellation():
     header, updates = parse_stream("n 2 wmax 1 model dynamic\n+ 1 2 1\n- 1 2 1\n")
     assert header.model == DYNAMIC
-    assert replay(header, updates).edges == ()
+    assert replay(header, updates) == ()
 
 
 def test_parse_comments_and_blank_lines():
@@ -183,7 +183,7 @@ def _streams_with_a_multiset_fault(draw):
     churn = draw(st.sampled_from([0.0, 0.5, 1.0]))
     header, updates = dynamify(header, updates, churn, draw(st.integers(0, 99)))
     at = draw(st.integers(0, len(updates)))
-    live = {(u, v): w for u, v, w in replay(header, updates[:at]).edges}
+    live = {(u, v): w for u, v, w in replay(header, updates[:at])}
     u, v = draw(st.tuples(st.integers(1, header.n), st.integers(1, header.n))
                 .filter(lambda p: p[0] != p[1]))
     pair = (min(u, v), max(u, v))
@@ -249,14 +249,12 @@ def test_replay_reinsert_after_delete():
         StreamUpdate(DELETE, 1, 2, 3.0),
         StreamUpdate(INSERT, 1, 2, 3.0),
     ]
-    snap = replay(header, updates)
-    assert snap.edges == ((1, 2, 3.0),)
+    assert replay(header, updates) == ((1, 2, 3.0),)
 
 
 def test_replay_normalizes_endpoints():
     header = StreamHeader(3, 5.0, INSERT_ONLY)
-    snap = replay(header, [StreamUpdate(INSERT, 3, 1, 5.0)])
-    assert snap.edges == ((1, 3, 5.0),)
+    assert replay(header, [StreamUpdate(INSERT, 3, 1, 5.0)]) == ((1, 3, 5.0),)
 
 
 @pytest.mark.parametrize("u, v", [(1, 1), (0, 2), (2, 4)])
@@ -288,10 +286,10 @@ def test_export_snapshot_round_trips():
     header, updates = parse_stream(
         "n 4 wmax 4 model dynamic\n+ 3 4 4\n+ 1 2 1\n- 3 4 4\n"
     )
-    snap = replay(header, updates)
-    text = serialize(*snapshot_stream(snap, header.wmax))
+    edges = replay(header, updates)
+    text = serialize(*snapshot_stream(header.n, edges, header.wmax))
     header2, updates2 = parse_stream(text)
-    assert replay(header2, updates2).edges == snap.edges
+    assert replay(header2, updates2) == edges
 
 
 @st.composite
@@ -327,7 +325,7 @@ def test_replay_order_insensitive_for_inserts(stream, rng):
     header, updates = stream
     shuffled = list(updates)
     rng.shuffle(shuffled)
-    assert replay(header, shuffled).edges == replay(header, updates).edges
+    assert replay(header, shuffled) == replay(header, updates)
 
 
 def test_replay_refuses_a_delete_in_an_insert_only_stream_built_in_code():
@@ -603,7 +601,7 @@ def test_ids_at_the_edge_of_a_typecode_round_trip_through_replay(n, model):
     header, updates = parse_stream(text)
     assert serialize(header, updates) == text
     assert len(updates) == len(lines)
-    assert replay(header, updates).edges == (
+    assert replay(header, updates) == (
         (1, n - 1, 1.0), (1, n, 3.5), (n - 1, n, 4.0 if model == DYNAMIC else 2.0))
 
 
@@ -714,7 +712,7 @@ def test_parsing_an_open_file_holds_little_beyond_its_records(tmp_path):
         finally:
             tracemalloc.stop()
     assert len(updates) == 59_950
-    assert len(replay(header, updates).edges) == 50
+    assert len(replay(header, updates)) == 50
     assert peak - held < 2**20
 
 
